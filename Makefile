@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all check vet build test race faults diffcheck lint bench bench-micro bench-compare bench-parallel clean
+.PHONY: all check vet build test race faults diffcheck lint bench bench-micro bench-smoke bench-parallel clean
 
 all: check
 
 # check runs everything CI runs.
-check: vet build test race faults lint
+check: vet build test race faults lint bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,29 +56,17 @@ bench:
 
 # bench-micro runs the per-layer hot-path microbenchmarks of PR 2 (entry
 # reads, hardware walks, TLB probes, end-to-end accesses); all of them
-# must report 0 allocs/op.
+# must report 0 allocs/op. Performance is judged by the repository
+# benchmark in bench/ and its paired A/B, `bash bench/ab.sh BASE`.
 bench-micro:
 	$(GO) test -bench . -run '^$$' -count 5 \
 		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu
 
-# bench-compare diffs the current tree's microbenchmarks against the
-# baseline recorded in BENCH_PR9.json (BENCH_PR7.json, BENCH_PR6.json,
-# BENCH_PR4.json and BENCH_PR2.json stay in the tree as history; replay
-# one with `go run ./cmd/benchbaseline -file BENCH_PR4.json`).
-# Uses benchstat when installed; otherwise prints both result sets for
-# eyeball comparison.
-bench-compare:
-	@$(GO) run ./cmd/benchbaseline > /tmp/bench_baseline.txt
-	@$(GO) test -bench . -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu \
-		> /tmp/bench_current.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat /tmp/bench_baseline.txt /tmp/bench_current.txt; \
-	else \
-		echo "benchstat not installed; baseline (BENCH_PR9.json) vs current:"; \
-		echo "--- baseline ---"; grep -E '^Benchmark' /tmp/bench_baseline.txt; \
-		echo "--- current ---"; grep -E '^Benchmark' /tmp/bench_current.txt; \
-	fi
+# bench-smoke vets and tests the repository benchmark. bench/ is a module
+# of its own, so the root `go vet ./...` and `go test ./...` never compile
+# it; this catches a change to an internal API the benchmark calls.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-parallel compares the serial and parallel Figure 5 sweeps; on a
 # multi-core machine the parallel run should be >= 2x faster.

@@ -128,7 +128,7 @@ func doReplay(path, technique, ps string) error {
 	if err != nil {
 		return err
 	}
-	if err := m.Run(workload.NewFromOps(path, ops)); err != nil {
+	if err := m.RunOps(ops, 0); err != nil {
 		return err
 	}
 	rep := m.Report(path)

@@ -20,7 +20,7 @@ func benchMachine(b *testing.B, tech walker.Mode, pages int) (*Machine, uint64) 
 	}
 	base := uint64(0x4000_0000)
 	ops := setupOps(base, uint64(pages)<<12, pagetable.Size4K)
-	if err := m.Run(workload.NewFromOps("bench", ops)); err != nil {
+	if err := m.RunOps(ops, 0); err != nil {
 		b.Fatal(err)
 	}
 	return m, base
@@ -106,7 +106,7 @@ func TestAccessHitZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := uint64(0x4000_0000)
-		if err := m.Run(workload.NewFromOps("guard", setupOps(base, 16<<12, pagetable.Size4K))); err != nil {
+		if err := m.RunOps(setupOps(base, 16<<12, pagetable.Size4K), 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Access(base|0x123, false); err != nil {

@@ -46,7 +46,7 @@ func TestTranslationOracle(t *testing.T) {
 				})
 				prof, _ := workload.ProfileByName("dedup")
 				gen := workload.New(prof, ps, 8_000, 99)
-				if err := m.Run(gen); err != nil {
+				if err := m.RunOps(workload.Collect(gen, -1), 0); err != nil {
 					t.Fatal(err)
 				}
 				if checked == 0 {
@@ -114,7 +114,7 @@ func TestRandomOpSoup(t *testing.T) {
 					}
 				}
 			}
-			if err := m.Run(workload.NewFromOps("soup", ops)); err != nil {
+			if err := m.RunOps(ops, 0); err != nil {
 				t.Fatal(err)
 			}
 			if m.Stats().Accesses == 0 {
@@ -129,7 +129,7 @@ func TestOpSoupDeterministic(t *testing.T) {
 	run := func() Stats {
 		m := newMachine(t, smallConfig(walker.ModeAgile, pagetable.Size4K))
 		prof, _ := workload.ProfileByName("gcc")
-		if err := m.Run(workload.New(prof, pagetable.Size4K, 10_000, 5)); err != nil {
+		if err := m.RunOps(workload.Collect(workload.New(prof, pagetable.Size4K, 10_000, 5), -1), 0); err != nil {
 			t.Fatal(err)
 		}
 		return m.Stats()
@@ -222,7 +222,7 @@ func TestSMPOracleMultithreaded(t *testing.T) {
 		checked++
 	})
 	prof, _ := workload.ProfileByName("canneal") // Threads: 4
-	if err := m.Run(workload.New(prof, pagetable.Size4K, 12_000, 3)); err != nil {
+	if err := m.RunOps(workload.Collect(workload.New(prof, pagetable.Size4K, 12_000, 3), -1), 0); err != nil {
 		t.Fatal(err)
 	}
 	if checked == 0 {

@@ -454,76 +454,34 @@ func (m *Machine) RefsHist() *stats.Hist { return m.refsHist }
 // asidFor maps a PID to its hardware ASID (0 is reserved).
 func asidFor(pid int) uint16 { return uint16(pid + 1) }
 
-// Run executes the generator's op stream to completion. Errors carry the
-// zero-based index of the failing op within the stream so deterministic
-// workloads can be replayed up to the failure point. Fixed op lists
-// (FromOps, including shared workload streams) take the batched in-place
-// path; live generators fall back to op-at-a-time dispatch.
-func (m *Machine) Run(gen workload.Generator) error {
-	if f, ok := gen.(*workload.FromOps); ok {
-		base := f.Pos()
-		return m.RunOps(f.TakeRest(), base)
-	}
-	for i := 0; ; i++ {
-		op, ok := gen.Next()
-		if !ok {
-			return nil
-		}
-		if err := m.Exec(op); err != nil {
-			return fmt.Errorf("op %d (%v) pid=%d va=%#x: %w", i, op.Kind, op.PID, op.VA, err)
-		}
-	}
-}
-
-// RunOps executes a fixed op slice with batched dispatch: a run of
-// consecutive plain accesses on the same core executes in a tight loop
-// that resolves the core and scheduled process once, instead of paying the
-// op-kind switch, core clamp, and process lookup per op. Execution is
-// op-for-op identical to Exec-ing each element (see
-// TestBatchedExecutionEquivalence). base is the stream index of ops[0],
-// used to label errors with stream-absolute op indices. The slice is never
+// RunOps executes an op slice in order; it is the machine's one executor.
+// A run of consecutive accesses on the same core executes in a tight loop
+// that resolves the core and scheduled process once, which is op-for-op
+// identical to executing each op alone (see
+// TestBatchedExecutionEquivalence). Errors carry the failing op's stream
+// index (base is the index of ops[0]), kind, pid and va, so deterministic
+// workloads can be replayed up to the failure point. The slice is never
 // written to and may be shared with concurrent runs.
 func (m *Machine) RunOps(ops []workload.Op, base int) error {
 	for i := 0; i < len(ops); {
 		op := &ops[i]
-		if op.Kind != workload.OpAccess {
-			if err := m.Exec(*op); err != nil {
-				return fmt.Errorf("op %d (%v) pid=%d va=%#x: %w", base+i, op.Kind, op.PID, op.VA, err)
+		j, k := i+1, 0
+		var err error
+		if op.Kind == workload.OpAccess {
+			for j < len(ops) && ops[j].Kind == workload.OpAccess && ops[j].Core == op.Core {
+				j++
 			}
-			i++
-			continue
+			k, err = m.accessRun(m.coreIndex(op.Core), ops[i:j])
+		} else {
+			err = m.execOp(op)
 		}
-		j := i + 1
-		for j < len(ops) && ops[j].Kind == workload.OpAccess && ops[j].Core == op.Core {
-			j++
-		}
-		if k, err := m.accessRun(m.coreIndex(op.Core), ops[i:j]); err != nil {
+		if err != nil {
 			fail := &ops[i+k]
 			return fmt.Errorf("op %d (%v) pid=%d va=%#x: %w", base+i+k, fail.Kind, fail.PID, fail.VA, err)
 		}
 		i = j
 	}
 	return nil
-}
-
-// RunChunks drains a chunked op source — typically the Next method of a
-// workload.StreamReader replaying a packed shared stream — executing each
-// decoded batch through the RunOps batched fast path. base is the stream
-// index of the first op the source will yield; error labels stay
-// stream-absolute across chunks. Because the source may still be
-// generating its tail, execution of early chunks overlaps generation of
-// later ones.
-func (m *Machine) RunChunks(next func() ([]workload.Op, bool), base int) error {
-	for {
-		ops, ok := next()
-		if !ok {
-			return nil
-		}
-		if err := m.RunOps(ops, base); err != nil {
-			return err
-		}
-		base += len(ops)
-	}
 }
 
 // accessRun executes a run of same-core access ops. On error it returns
@@ -535,19 +493,22 @@ func (m *Machine) accessRun(coreIdx int, ops []workload.Op) (int, error) {
 		return 0, errNoProcess
 	}
 	for k := range ops {
-		op := &ops[k]
-		// Same structure as accessOn: the policy tick and telemetry sample
-		// run even when the access errors.
-		err := m.translate(c, cur, op.VA, op.Write, op.Fetch)
-		m.policyTick()
-		if m.tel != nil && m.tel.OnAccess() {
-			m.tel.Sample(m.TelemetryCounters())
-		}
-		if err != nil {
+		if err := m.access(c, cur, &ops[k]); err != nil {
 			return k, err
 		}
 	}
 	return 0, nil
+}
+
+// access performs one load, store or fetch, then runs the policy tick and
+// the telemetry sample, which both happen even when the access errors.
+func (m *Machine) access(c *coreState, cur *guest.Process, op *workload.Op) error {
+	err := m.translate(c, cur, op.VA, op.Write, op.Fetch)
+	m.policyTick()
+	if m.tel != nil && m.tel.OnAccess() {
+		m.tel.Sample(m.TelemetryCounters())
+	}
+	return err
 }
 
 // coreIndex clamps an op's core selector to a valid core.
@@ -558,19 +519,17 @@ func (m *Machine) coreIndex(core int) int {
 	return core
 }
 
-// coreFor resolves an op's core index.
-func (m *Machine) coreFor(op workload.Op) int {
-	return m.coreIndex(op.Core)
-}
-
 // Exec executes one op.
-func (m *Machine) Exec(op workload.Op) error {
+func (m *Machine) Exec(op workload.Op) error { return m.RunOps([]workload.Op{op}, 0) }
+
+// execOp executes one op other than an access.
+func (m *Machine) execOp(op *workload.Op) error {
 	switch op.Kind {
 	case workload.OpCreateProcess:
 		_, err := m.OS.CreateProcess(op.PID, asidFor(op.PID))
 		return err
 	case workload.OpCtxSwitch:
-		return m.ContextSwitchOn(m.coreFor(op), op.PID)
+		return m.contextSwitch(m.coreIndex(op.Core), op.PID)
 	case workload.OpMmap:
 		_, err := m.OS.Mmap(op.PID, op.VA, op.Len, op.Size, true)
 		return err
@@ -580,8 +539,6 @@ func (m *Machine) Exec(op workload.Op) error {
 		return m.OS.Munmap(op.PID, op.VA)
 	case workload.OpMarkCOW:
 		return m.OS.MarkCOW(op.PID, op.VA)
-	case workload.OpAccess:
-		return m.accessOn(m.coreFor(op), op.VA, op.Write, op.Fetch)
 	case workload.OpReclaim:
 		_, err := m.OS.ReclaimScan(op.PID, op.N)
 		return err
@@ -599,11 +556,11 @@ func (m *Machine) Exec(op workload.Op) error {
 }
 
 // ContextSwitch schedules pid on core 0 (uniprocessor convenience).
-func (m *Machine) ContextSwitch(pid int) error { return m.ContextSwitchOn(0, pid) }
+func (m *Machine) ContextSwitch(pid int) error { return m.contextSwitch(0, pid) }
 
-// ContextSwitchOn schedules pid on the given core: the guest OS switches
+// contextSwitch schedules pid on the given core: the guest OS switches
 // and the CR3 write is handled natively or by the VMM.
-func (m *Machine) ContextSwitchOn(coreIdx, pid int) error {
+func (m *Machine) contextSwitch(coreIdx, pid int) error {
 	p, err := m.OS.ContextSwitch(pid)
 	if err != nil {
 		return err
@@ -633,36 +590,15 @@ func (m *Machine) ContextSwitchOn(coreIdx, pid int) error {
 var errNoProcess = errors.New("cpu: no process scheduled")
 
 // Access performs one load or store on core 0 (uniprocessor convenience).
-func (m *Machine) Access(va uint64, write bool) error { return m.accessOn(0, va, write, false) }
-
-// AccessOn performs one load or store at va on the given core.
-func (m *Machine) AccessOn(coreIdx int, va uint64, write bool) error {
-	return m.accessOn(coreIdx, va, write, false)
+func (m *Machine) Access(va uint64, write bool) error {
+	return m.RunOps([]workload.Op{{Kind: workload.OpAccess, VA: va, Write: write}}, 0)
 }
 
 // Fetch performs one instruction fetch at va on the given core, translated
-// by the instruction-side TLBs.
+// by the instruction-side TLBs. Like an op's core, an out-of-range coreIdx
+// selects core 0.
 func (m *Machine) Fetch(coreIdx int, va uint64) error {
-	return m.accessOn(coreIdx, va, false, true)
-}
-
-// accessOn performs one load, store, or fetch at va in the core's current
-// process, exercising the full translation path: TLB, hardware walk, fault
-// servicing, permission upgrades, and retry.
-func (m *Machine) accessOn(coreIdx int, va uint64, write, fetch bool) error {
-	c := m.cores[coreIdx]
-	cur := c.cur
-	if cur == nil || c.regs.ASID == 0 {
-		return errNoProcess
-	}
-	// translate + an unconditional policyTick call, split out so the hot
-	// path pays a direct call rather than a deferred one.
-	err := m.translate(c, cur, va, write, fetch)
-	m.policyTick()
-	if m.tel != nil && m.tel.OnAccess() {
-		m.tel.Sample(m.TelemetryCounters())
-	}
-	return err
+	return m.RunOps([]workload.Op{{Kind: workload.OpAccess, Core: coreIdx, VA: va, Fetch: true}}, 0)
 }
 
 // translate runs the translation loop of one access: TLB probe, hardware

@@ -29,7 +29,7 @@ func setupOps(base, length uint64, ps pagetable.Size) []workload.Op {
 
 func mustRun(t *testing.T, m *Machine, ops []workload.Op) {
 	t.Helper()
-	if err := m.Run(workload.NewFromOps("test", ops)); err != nil {
+	if err := m.RunOps(ops, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,7 +234,7 @@ func TestProfilesRunAllTechniques(t *testing.T) {
 		for _, ps := range []pagetable.Size{pagetable.Size4K, pagetable.Size2M} {
 			m := newMachine(t, smallConfig(tech, ps))
 			gen := workload.New(prof, ps, 5_000, 42)
-			if err := m.Run(gen); err != nil {
+			if err := m.RunOps(workload.Collect(gen, -1), 0); err != nil {
 				t.Fatalf("%v/%v: %v", tech, ps, err)
 			}
 			r := m.Report(prof.Name)
@@ -414,6 +414,20 @@ func TestInstructionFetchUsesITLB(t *testing.T) {
 	post := m.Report("t").TLB
 	if post.L2Hits != pre.L2Hits+1 {
 		t.Errorf("data access after fetch: L2 hits %d -> %d, want unified-L2 hit", pre.L2Hits, post.L2Hits)
+	}
+}
+
+// TestFetchClampsCoreIndex: like an op's core, an out-of-range core passed
+// to Fetch selects core 0 rather than indexing past the cores.
+func TestFetchClampsCoreIndex(t *testing.T) {
+	m := newMachine(t, smallConfig(walker.ModeNative, pagetable.Size4K))
+	code := uint64(0x0040_0000)
+	mustRun(t, m, setupOps(code, 8<<12, pagetable.Size4K))
+	if err := m.Fetch(5, code); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Accesses; got != 1 {
+		t.Errorf("accesses = %d, want 1 (the fetch runs on core 0)", got)
 	}
 }
 

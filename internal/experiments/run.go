@@ -209,17 +209,15 @@ func runCell(prof workload.Profile, cfg cpu.Config, o Options) (cpu.Report, erro
 // sweep cell asking for the same (profile, page size, accesses, seed)
 // replays one cached packed stream (workload.SharedStream), so stream
 // generation is paid once per sweep instead of once per run. Consumption
-// is chunked: decoded chunks feed the machine's batched fast path through
+// is chunked: decoded chunks feed the machine's batched executor through
 // one reusable buffer, and — because SharedStream publishes chunks as the
 // generator produces them — the head of a cold stream executes while its
 // tail is still generating. The warmup/measure split lands exactly after
-// the warm-th OpAccess, wherever in a chunk that falls, matching the
-// whole-slice AccessBoundary split this replaces (pinned by the golden
-// test).
+// the warm-th OpAccess, wherever in a chunk that falls (pinned by the
+// golden test).
 func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, error) {
 	warm := warmupCount(o)
-	stream := workload.SharedStream(prof, o.PageSize, warm+o.Accesses, o.Seed)
-	r := stream.Reader()
+	r := workload.SharedStream(prof, o.PageSize, warm+o.Accesses, o.Seed).Reader()
 	defer r.Close()
 	fail := func(err error) (cpu.Report, error) {
 		return cpu.Report{}, fmt.Errorf("experiments: %s/%v/%v: %w", prof.Name, o.Technique, o.PageSize, err)
@@ -228,41 +226,34 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 		attachLogs(m, o)
 	}
 	base, pending := 0, warm
-	for pending > 0 {
+	for {
 		ops, ok := r.Next()
 		if !ok {
-			// Stream shorter than the warmup window: everything above was
-			// warmup (the old split == Len() case).
 			break
 		}
-		idx, seen := splitAfterAccesses(ops, pending)
-		if seen < pending {
-			pending -= seen
-			if err := m.RunOps(ops, base); err != nil {
-				return fail(err)
+		if pending > 0 {
+			idx, seen := splitAfterAccesses(ops, pending)
+			if seen == pending {
+				if err := m.RunOps(ops[:idx], base); err != nil {
+					return fail(err)
+				}
+				// End of warmup: measure steady state only. Logs attach
+				// here so traces cover the measured window.
+				m.ResetMeasurement()
+				attachLogs(m, o)
+				ops, base = ops[idx:], base+idx
 			}
-			base += len(ops)
-			continue
+			pending -= seen
 		}
-		if err := m.RunOps(ops[:idx], base); err != nil {
-			return fail(err)
-		}
-		pending = 0
-		// End of warmup: measure steady state only. Logs attach here so
-		// traces cover the measured window.
-		m.ResetMeasurement()
-		attachLogs(m, o)
-		if err := m.RunOps(ops[idx:], base+idx); err != nil {
+		if err := m.RunOps(ops, base); err != nil {
 			return fail(err)
 		}
 		base += len(ops)
 	}
 	if pending > 0 {
+		// Stream shorter than the warmup window: all of it was warmup.
 		m.ResetMeasurement()
 		attachLogs(m, o)
-	}
-	if err := m.RunChunks(r.Next, base); err != nil {
-		return fail(err)
 	}
 	m.FlushTelemetry()
 	return m.Report(prof.Name), nil

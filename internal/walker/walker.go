@@ -1,8 +1,8 @@
-// Package walker implements the hardware page-walk state machines of the
-// paper: the native 1D walk, the nested 2D walk, the shadow walk (paper
-// Figure 2), and the agile walk that starts in shadow mode and may switch
-// mid-walk to nested mode when it encounters an entry with the switching
-// bit set (paper Figure 4).
+// Package walker implements the hardware page walk of the paper: the agile
+// walk that starts in shadow mode and may switch mid-walk to nested mode
+// when it encounters an entry with the switching bit set (paper Figure 4).
+// The native 1D walk, the shadow walk and the nested 2D walk (paper
+// Figure 2) are the same loop from other start states (see walks.go).
 //
 // The walker is "hardware": it dereferences raw table pages in simulated
 // physical memory and charges one memory reference per entry read, which is
@@ -321,26 +321,4 @@ func (w *Walker) fault(st *walkState, f *Fault) *Fault {
 	f.HostRefs = st.hostRefs
 	w.stats.Faults[f.Kind]++
 	return f
-}
-
-// Walk translates va under the technique selected by regs.Mode, charging
-// memory references as the corresponding state machine does. write marks
-// the access a store (the hardware then sets dirty bits it is responsible
-// for). On fault the partial reference count is reported in the fault.
-func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
-	st := &w.scratch
-	st.refs = 0
-	st.hostRefs = 0
-	st.accesses = st.accesses[:0]
-	switch regs.Mode {
-	case ModeNative:
-		return w.nativeWalk(st, regs, va, write)
-	case ModeNested:
-		return w.nestedWalk(st, regs, va, write)
-	case ModeShadow:
-		return w.shadowWalk(st, regs, va)
-	case ModeAgile:
-		return w.agileWalk(st, regs, va, write)
-	}
-	panic(fmt.Sprintf("walker: invalid mode %d", int(regs.Mode)))
 }

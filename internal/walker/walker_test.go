@@ -346,6 +346,17 @@ func TestWalkFaults(t *testing.T) {
 		t.Errorf("shadow fault refs = %d, want 1", f.Refs)
 	}
 
+	// A faulting store reports the write under the 1D walks too (the sPT
+	// doubles as a native table: both hold host-physical pointers).
+	_, f = w.Walk(v.regs(ModeShadow), 0xdead_0000, true)
+	if f == nil || f.Kind != FaultNotPresent || !f.Write {
+		t.Errorf("shadow store fault = %+v, want a not-present write", f)
+	}
+	_, f = w.Walk(Regs{Mode: ModeNative, Root: v.spt.Root(), ASID: 1}, 0xdead_0000, true)
+	if f == nil || f.Kind != FaultNotPresent || !f.Write {
+		t.Errorf("native store fault = %+v, want a not-present write", f)
+	}
+
 	// Unmapped gVA under nested: guest fault after gptr translation.
 	_, f = w.Walk(v.regs(ModeNested), 0xdead_0000, false)
 	if f == nil || f.Kind != FaultGuest || f.Level != 0 {
@@ -450,6 +461,84 @@ func TestAgilePWCResumesInCorrectMode(t *testing.T) {
 	}
 	if r2.NestedLevels != 1 {
 		t.Errorf("warm agile resumed in wrong mode: %+v", r2)
+	}
+}
+
+// TestPWCResumeRule pins which PWC lines each start state resumes from: a
+// walk takes a hit if it may switch, or if the line's nested bit equals its
+// start mode. Native and shadow walks ignore nested lines; nested walks
+// (including agile's FullNested) ignore 1D lines and still pay gptr; agile
+// walks resume from either kind.
+func TestPWCResumeRule(t *testing.T) {
+	type want struct {
+		refs, nestedLevels int
+		gptr, leafShadow   bool
+	}
+	var (
+		cold1D     = want{refs: 4}
+		coldShadow = want{refs: 4, leafShadow: true}
+		coldNested = want{refs: 24, nestedLevels: 4, gptr: true}
+		warm1D     = want{refs: 1}
+		warmShadow = want{refs: 1, leafShadow: true}
+		// Resumed at the guest leaf table: 1 guest read + 4 host refs for
+		// the leaf gPA (no nested TLB), and no gptr translation.
+		warmNested = want{refs: 5, nestedLevels: 1}
+	)
+	rows := []struct {
+		name                     string
+		regs                     func(v *vmFixture) Regs
+		cold, line1D, lineNested want
+	}{
+		{"native", func(v *vmFixture) Regs { return Regs{Mode: ModeNative, Root: v.spt.Root(), ASID: 1} },
+			cold1D, warm1D, cold1D},
+		{"shadow", func(v *vmFixture) Regs { return v.regs(ModeShadow) },
+			coldShadow, warmShadow, coldShadow},
+		{"nested", func(v *vmFixture) Regs { return v.regs(ModeNested) },
+			coldNested, coldNested, warmNested},
+		{"agile-full-nested", func(v *vmFixture) Regs {
+			r := v.regs(ModeAgile)
+			r.FullNested = true
+			return r
+		}, coldNested, coldNested, warmNested},
+		{"agile", func(v *vmFixture) Regs { return v.regs(ModeAgile) },
+			coldShadow, warmShadow, warmNested},
+	}
+	for _, row := range rows {
+		for _, line := range []string{"cold", "1D", "nested"} {
+			t.Run(row.name+"/"+line, func(t *testing.T) {
+				v := newVM(t)
+				gva := uint64(0x7f12_3456_7000)
+				_, hpa := v.mapGuest(gva, pagetable.Size4K)
+				v.shadowFill(gva, hpa, pagetable.Size4K)
+				pwc := ptwc.New(ptwc.DefaultConfig())
+				w := New(v.mem, pwc, nil)
+				regs := row.regs(v)
+				exp := row.cold
+				switch line {
+				case "1D":
+					leaf, err := v.spt.EntryAt(gva, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pwc.Insert(regs.ASID, gva, 3, leaf.Addr(), false)
+					exp = row.line1D
+				case "nested":
+					pwc.Insert(regs.ASID, gva, 3, v.guestTableHPA(gva, 3), true)
+					exp = row.lineNested
+				}
+				r, f := w.Walk(regs, gva|0x42, false)
+				if f != nil {
+					t.Fatalf("fault: %v", f)
+				}
+				got := want{r.Refs, r.NestedLevels, r.GptrTranslated, r.LeafShadow}
+				if got != exp {
+					t.Errorf("walk = %+v, want %+v", got, exp)
+				}
+				if r.HPA != hpa|0x42 {
+					t.Errorf("HPA = %#x, want %#x", r.HPA, hpa|0x42)
+				}
+			})
+		}
 	}
 }
 

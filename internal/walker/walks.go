@@ -1,57 +1,129 @@
 package walker
 
-import "agilepaging/internal/pagetable"
+import (
+	"fmt"
 
-// nativeWalk is the base-native 1D state machine (paper Figure 2a).
-func (w *Walker) nativeWalk(st *walkState, regs Regs, va uint64, write bool) (Result, *Fault) {
-	return w.oneDWalk(st, regs, va, write, TableNative)
+	"agilepaging/internal/pagetable"
+)
+
+// start is the state a walk begins in. The paper's hardware walk (Figure 4)
+// starts in shadow mode and switches to nested mode at the level whose
+// entry carries the switching bit; every technique is that one walk from a
+// different start state, derived from Regs once per walk:
+//
+//	Regs                        1D table  starts nested  pays gptr  may switch
+//	native                      PT        no             no         no
+//	shadow                      sPT       no             no         no
+//	nested, agile + FullNested  -         yes            yes        no
+//	agile                       sPT       RootSwitch     no         yes
+//
+// A walk resumes from a PWC line if it may switch or if the line's nested
+// bit equals its start mode; a resumed walk does not pay gptr.
+type start struct {
+	table     TableKind // the 1D table read in shadow mode
+	nested    bool      // the walk starts in nested mode
+	gptr      bool      // the walk first translates gptr through the host table
+	maySwitch bool      // a switching bit hands the walk over to nested mode
 }
 
-// shadowWalk is the shadow-paging state machine (paper Figure 2c): a native
-// walk over the shadow page table. The VMM manages A/D bits for shadow
-// entries (set at fill time / via write protection), so the hardware does
-// not write them here.
-func (w *Walker) shadowWalk(st *walkState, regs Regs, va uint64) (Result, *Fault) {
-	return w.oneDWalk(st, regs, va, false, TableShadow)
+func startOf(regs Regs) start {
+	switch {
+	case regs.Mode == ModeNative:
+		return start{table: TableNative}
+	case regs.Mode == ModeShadow:
+		return start{table: TableShadow}
+	case regs.Mode == ModeNested, regs.Mode == ModeAgile && regs.FullNested:
+		// The paper encodes a fully nested agile process as sptr == gptr.
+		return start{nested: true, gptr: true}
+	case regs.Mode == ModeAgile:
+		return start{table: TableShadow, nested: regs.RootSwitch, maySwitch: true}
+	}
+	panic(fmt.Sprintf("walker: invalid mode %d", int(regs.Mode)))
 }
 
-// oneDWalk walks a single host-space table rooted at regs.Root. For native
-// tables the hardware sets accessed (and on stores, dirty) bits in the leaf.
-func (w *Walker) oneDWalk(st *walkState, regs Regs, va uint64, write bool, kind TableKind) (Result, *Fault) {
-	ptr := regs.Root
-	level := 0
+// Walk translates va under the technique selected by regs, charging memory
+// references as the hardware does. write marks the access a store (the
+// hardware then sets dirty bits it is responsible for). On fault the
+// partial reference count is reported in the fault.
+//
+// In shadow (1D) mode each level reads the native or shadow table, whose
+// entries hold host-physical pointers. In nested mode each level reads the
+// guest table and translates the guest-physical pointer it loads through
+// the host table, so a cold nested walk of a 4K page costs up to 24
+// references (paper Figure 2b).
+func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
+	st := &w.scratch
+	st.refs = 0
+	st.hostRefs = 0
+	st.accesses = st.accesses[:0]
+	s := startOf(regs)
+	nested, ptr, level := s.nested, regs.Root, 0
 	if w.pwc != nil {
-		if p, l, nested, ok := w.pwc.Lookup(regs.ASID, va); ok && !nested {
-			ptr, level = p, l
+		if p, l, n, ok := w.pwc.Lookup(regs.ASID, va); ok && (s.maySwitch || n == nested) {
+			nested, ptr, level = n, p, l
+			s.gptr = false
 		}
 	}
+	if s.gptr {
+		hpa, _, _, f := w.hostTranslate(st, regs, regs.GPTRoot)
+		if f != nil {
+			return Result{}, f
+		}
+		ptr = hpa
+	}
+	nestedLevels := 0
 	for ; level < pagetable.NumLevels; level++ {
-		e := w.readEntry(st, kind, level, ptr, pagetable.IndexAt(va, level))
+		idx := pagetable.IndexAt(va, level)
+		table := s.table
+		if nested {
+			table = TableGuest
+			nestedLevels++
+		}
+		e := w.readEntry(st, table, level, ptr, idx)
 		if !e.Present() {
-			return Result{}, w.fault(st, &Fault{Kind: FaultNotPresent, VA: va, Level: level})
+			kind := FaultNotPresent
+			if nested {
+				kind = FaultGuest
+			}
+			return Result{}, w.fault(st, &Fault{Kind: kind, VA: va, Level: level, Write: write})
+		}
+		if s.maySwitch && !nested && e.Switching() {
+			// Switch to nested mode: the entry holds the host-physical
+			// address of the next *guest* table level (paper §III-A).
+			nested, ptr = true, e.Addr()
+			if w.pwc != nil && level < pagetable.NumLevels-1 {
+				w.pwc.Insert(regs.ASID, va, level+1, ptr, true)
+			}
+			continue
 		}
 		size, leafOK := pagetable.SizeAtLevel(level)
 		if level == pagetable.NumLevels-1 || (e.Huge() && leafOK) {
-			if kind == TableNative {
-				ne := e.WithFlags(pagetable.FlagAccessed)
-				if write && e.Writable() {
-					ne = ne.WithFlags(pagetable.FlagDirty)
-				}
-				if ne != e {
-					w.writeEntry(ptr, pagetable.IndexAt(va, level), ne)
-					e = ne
-				}
+			if nested {
+				return w.nestedLeaf(st, regs, va, write, ptr, idx, e, size, nestedLevels, s.gptr)
+			}
+			// The hardware sets A/D bits in a native leaf. The VMM manages
+			// them for shadow entries (at fill time and through write
+			// protection), so a shadow leaf is left as read.
+			if table == TableNative {
+				e = w.setAD(ptr, idx, e, write)
 			}
 			return w.finish(st, Result{
 				HPA:        e.Addr() | va&size.Mask(),
 				Size:       size,
 				Flags:      e.Flags(),
-				LeafShadow: kind == TableShadow,
+				LeafShadow: table == TableShadow,
 			}), nil
 		}
 		ptr = e.Addr()
+		if nested {
+			hpa, _, _, f := w.hostTranslate(st, regs, ptr)
+			if f != nil {
+				return Result{}, f
+			}
+			ptr = hpa
+		}
 		if w.pwc != nil {
-			w.pwc.Insert(regs.ASID, va, level+1, ptr, false)
+			w.pwc.Insert(regs.ASID, va, level+1, ptr, nested)
 		}
 	}
 	panic("walker: unreachable")
@@ -89,50 +161,18 @@ func (w *Walker) hostTranslate(st *walkState, regs Regs, gpa uint64) (hpa uint64
 
 const memFrameMask = uint64(1<<12) - 1
 
-// nestedWalk is the 2D state machine (paper Figure 2b): it first translates
-// gptr through the host table, then walks the guest table, translating
-// every guest-physical pointer it loads — up to 24 references with 4K pages
-// at both levels.
-func (w *Walker) nestedWalk(st *walkState, regs Regs, va uint64, write bool) (Result, *Fault) {
-	level := 0
-	var ptr uint64 // host-physical address of the current guest table page
-	gptrPaid := false
-	resumed := false
-	if w.pwc != nil {
-		if p, l, nested, ok := w.pwc.Lookup(regs.ASID, va); ok && nested {
-			ptr, level, resumed = p, l, true
-		}
+// setAD sets the accessed bit, and on a store to a writable page the dirty
+// bit, in a leaf entry the hardware is responsible for, and returns the
+// updated entry.
+func (w *Walker) setAD(tableHPA uint64, idx int, e pagetable.Entry, write bool) pagetable.Entry {
+	ne := e.WithFlags(pagetable.FlagAccessed)
+	if write && e.Writable() {
+		ne = ne.WithFlags(pagetable.FlagDirty)
 	}
-	if !resumed {
-		hpa, _, _, f := w.hostTranslate(st, regs, regs.GPTRoot)
-		if f != nil {
-			return Result{}, f
-		}
-		ptr = hpa
-		gptrPaid = true
+	if ne != e {
+		w.writeEntry(tableHPA, idx, ne)
 	}
-	nestedLevels := 0
-	for ; level < pagetable.NumLevels; level++ {
-		idx := pagetable.IndexAt(va, level)
-		e := w.readEntry(st, TableGuest, level, ptr, idx)
-		nestedLevels++
-		if !e.Present() {
-			return Result{}, w.fault(st, &Fault{Kind: FaultGuest, VA: va, Level: level, Write: write})
-		}
-		size, leafOK := pagetable.SizeAtLevel(level)
-		if level == pagetable.NumLevels-1 || (e.Huge() && leafOK) {
-			return w.nestedLeaf(st, regs, va, write, ptr, idx, e, size, nestedLevels, gptrPaid)
-		}
-		hpa, _, _, f := w.hostTranslate(st, regs, e.Addr())
-		if f != nil {
-			return Result{}, f
-		}
-		ptr = hpa
-		if w.pwc != nil {
-			w.pwc.Insert(regs.ASID, va, level+1, ptr, true)
-		}
-	}
-	panic("walker: unreachable")
+	return ne
 }
 
 // nestedLeaf completes a walk whose leaf was found in the guest table: the
@@ -141,13 +181,7 @@ func (w *Walker) nestedWalk(st *walkState, regs Regs, va uint64, write bool) (Re
 // update guest page table accessed and dirty bits") and translates the
 // final guest-physical address.
 func (w *Walker) nestedLeaf(st *walkState, regs Regs, va uint64, write bool, tableHPA uint64, idx int, e pagetable.Entry, size pagetable.Size, nestedLevels int, gptrPaid bool) (Result, *Fault) {
-	ne := e.WithFlags(pagetable.FlagAccessed)
-	if write && e.Writable() {
-		ne = ne.WithFlags(pagetable.FlagDirty)
-	}
-	if ne != e {
-		w.writeEntry(tableHPA, idx, ne)
-	}
+	w.setAD(tableHPA, idx, e, write)
 	gpa := e.Addr() | va&size.Mask()
 	hpa, hostW, hostSize, f := w.hostTranslate(st, regs, gpa)
 	if f != nil {
@@ -170,74 +204,4 @@ func (w *Walker) nestedLeaf(st *walkState, regs Regs, va uint64, write bool, tab
 		NestedLevels:   nestedLevels,
 		GptrTranslated: gptrPaid,
 	}), nil
-}
-
-// agileWalk is the paper's Figure 4 state machine: start in shadow mode at
-// the shadow root (or directly in nested mode under RootSwitch/FullNested)
-// and switch to nested mode when an entry with the switching bit is read.
-func (w *Walker) agileWalk(st *walkState, regs Regs, va uint64, write bool) (Result, *Fault) {
-	if regs.FullNested {
-		// The paper encodes this as sptr == gptr.
-		return w.nestedWalk(st, regs, va, write)
-	}
-	nested := regs.RootSwitch
-	ptr := regs.Root
-	level := 0
-	if w.pwc != nil {
-		if p, l, n, ok := w.pwc.Lookup(regs.ASID, va); ok {
-			ptr, level, nested = p, l, n
-		}
-	}
-	nestedLevels := 0
-	for ; level < pagetable.NumLevels; level++ {
-		idx := pagetable.IndexAt(va, level)
-		if nested {
-			e := w.readEntry(st, TableGuest, level, ptr, idx)
-			nestedLevels++
-			if !e.Present() {
-				return Result{}, w.fault(st, &Fault{Kind: FaultGuest, VA: va, Level: level, Write: write})
-			}
-			size, leafOK := pagetable.SizeAtLevel(level)
-			if level == pagetable.NumLevels-1 || (e.Huge() && leafOK) {
-				return w.nestedLeaf(st, regs, va, write, ptr, idx, e, size, nestedLevels, false)
-			}
-			hpa, _, _, f := w.hostTranslate(st, regs, e.Addr())
-			if f != nil {
-				return Result{}, f
-			}
-			ptr = hpa
-			if w.pwc != nil {
-				w.pwc.Insert(regs.ASID, va, level+1, ptr, true)
-			}
-			continue
-		}
-		e := w.readEntry(st, TableShadow, level, ptr, idx)
-		if !e.Present() {
-			return Result{}, w.fault(st, &Fault{Kind: FaultNotPresent, VA: va, Level: level, Write: write})
-		}
-		if e.Switching() {
-			// Switch to nested mode: the entry holds the host-physical
-			// address of the next *guest* table level (paper §III-A).
-			nested = true
-			ptr = e.Addr()
-			if w.pwc != nil && level < pagetable.NumLevels-1 {
-				w.pwc.Insert(regs.ASID, va, level+1, ptr, true)
-			}
-			continue
-		}
-		size, leafOK := pagetable.SizeAtLevel(level)
-		if level == pagetable.NumLevels-1 || (e.Huge() && leafOK) {
-			return w.finish(st, Result{
-				HPA:        e.Addr() | va&size.Mask(),
-				Size:       size,
-				Flags:      e.Flags(),
-				LeafShadow: true,
-			}), nil
-		}
-		ptr = e.Addr()
-		if w.pwc != nil {
-			w.pwc.Insert(regs.ASID, va, level+1, ptr, false)
-		}
-	}
-	panic("walker: unreachable")
 }

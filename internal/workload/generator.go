@@ -306,16 +306,3 @@ func (f *FromOps) Reset() { f.i = 0 }
 
 // SizeHint implements Sizer (exact for a fixed list).
 func (f *FromOps) SizeHint() int { return len(f.ops) }
-
-// Pos reports how many ops have been consumed so far.
-func (f *FromOps) Pos() int { return f.i }
-
-// TakeRest returns the unconsumed tail of the op list and marks it
-// consumed. Batch executors use it to process the ops in place — one slice
-// iteration instead of a per-op interface call and 64-byte copy. The
-// returned slice aliases the stream's backing array: read-only.
-func (f *FromOps) TakeRest() []Op {
-	rest := f.ops[f.i:]
-	f.i = len(f.ops)
-	return rest
-}

@@ -49,11 +49,6 @@ func TestSharedStreamMatchesGenerator(t *testing.T) {
 	if s.Len() != len(want) {
 		t.Errorf("Len() = %d, want %d", s.Len(), len(want))
 	}
-	// Replay must walk the identical sequence.
-	got := Collect(s.Replay(), -1)
-	if !reflect.DeepEqual(want, got) {
-		t.Error("Replay() sequence differs")
-	}
 }
 
 // TestStreamReaderChunks pins the Reader contract: chunks of at most
@@ -294,66 +289,6 @@ func TestSharedStreamConcurrent(t *testing.T) {
 	hits, misses, _ := StreamCacheStats()
 	if misses != 1 || hits != goroutines-1 {
 		t.Errorf("stats = %d hits / %d misses, want %d/1 (single generation)", hits, misses, goroutines-1)
-	}
-}
-
-func TestAccessBoundary(t *testing.T) {
-	freshCache(t, DefaultStreamCacheBytes)
-	prof := streamProfile("boundary")
-	s := SharedStream(prof, pagetable.Size4K, 1000, 5)
-	if got := s.AccessBoundary(0); got != 0 {
-		t.Errorf("AccessBoundary(0) = %d, want 0", got)
-	}
-	if got := s.AccessBoundary(-3); got != 0 {
-		t.Errorf("AccessBoundary(-3) = %d, want 0", got)
-	}
-	if got := s.AccessBoundary(s.Accesses() + 10); got != s.Len() {
-		t.Errorf("AccessBoundary(beyond) = %d, want Len %d", got, s.Len())
-	}
-	for _, n := range []int{1, 7, 100, s.Accesses() / 2, s.Accesses()} {
-		b := s.AccessBoundary(n)
-		seen := 0
-		for _, op := range s.Ops()[:b] {
-			if op.Kind == OpAccess {
-				seen++
-			}
-		}
-		if seen != n {
-			t.Errorf("AccessBoundary(%d) = %d covers %d accesses", n, b, seen)
-		}
-		if b > 0 && s.Ops()[b-1].Kind != OpAccess {
-			t.Errorf("AccessBoundary(%d): op %d is %v, want the n-th access itself", n, b-1, s.Ops()[b-1].Kind)
-		}
-		// Memoized second ask must agree.
-		if again := s.AccessBoundary(n); again != b {
-			t.Errorf("AccessBoundary(%d) memo = %d, first answer %d", n, again, b)
-		}
-	}
-}
-
-// TestAccessBoundaryAcrossChunks exercises splits on streams long enough
-// that the boundary lands in a middle chunk and exactly at chunk edges.
-func TestAccessBoundaryAcrossChunks(t *testing.T) {
-	freshCache(t, DefaultStreamCacheBytes)
-	prof := streamProfile("boundary-chunks")
-	s := SharedStream(prof, pagetable.Size4K, 3*PackedChunkOps, 5)
-	ops := s.Ops()
-	cuts := []int{1, PackedChunkOps - 1, PackedChunkOps, PackedChunkOps + 1,
-		2 * PackedChunkOps, s.Accesses() / 2, s.Accesses()}
-	for _, n := range cuts {
-		b := s.AccessBoundary(n)
-		seen := 0
-		for _, op := range ops[:b] {
-			if op.Kind == OpAccess {
-				seen++
-			}
-		}
-		if seen != n {
-			t.Errorf("AccessBoundary(%d) = %d covers %d accesses", n, b, seen)
-		}
-		if ops[b-1].Kind != OpAccess {
-			t.Errorf("AccessBoundary(%d): boundary op is %v", n, ops[b-1].Kind)
-		}
 	}
 }
 

@@ -161,7 +161,7 @@ func (s *Scenario) Run(cfg ScenarioConfig) (Result, error) {
 		if err != nil {
 			return cpu.Report{}, err
 		}
-		if err := m.Run(workload.NewFromOps("scenario", s.ops)); err != nil {
+		if err := m.RunOps(s.ops, 0); err != nil {
 			// A failed replay leaves the machine mid-scenario; let the GC
 			// have it rather than pool suspect state.
 			return cpu.Report{}, fmt.Errorf("agilepaging: scenario: %w", err)
