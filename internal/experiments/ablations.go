@@ -57,9 +57,9 @@ func AblationsSweep(ctx context.Context, cfg sweep.Config, accesses int, seed in
 	add := func(name, wl string, kind ablationKind, o Options, notes string) {
 		o.Accesses = accesses
 		o.Seed = seed
-		// Only profile-based ablations are canonical cells; the µbench
-		// kinds build their own op streams outside the stream cache and
-		// are keyed by nothing.
+		// Only profile-based ablations declare a dedup key; a µbench
+		// cell's key covers its op list, which exists only once the job
+		// builds it, and RunOps memoizes it under that key.
 		var dedup string
 		if kind == ablationProfile {
 			dedup, _ = CellKey(wl, o)
@@ -124,9 +124,9 @@ func runAblation(_ context.Context, j sweep.Job[ablationSpec]) (AblationRow, err
 	case ablationProfile:
 		rep, err = RunProfile(j.Workload, s.opts)
 	case ablationReadThenWrite:
-		rep, _, err = RunOps(j.Key, readThenWriteOps(512), s.opts)
+		rep, err = RunOps(j.Key, readThenWriteOps(512), s.opts)
 	case ablationCtxSwitch:
-		rep, _, err = RunOps(j.Key, ctxSwitchOps(2000), s.opts)
+		rep, err = RunOps(j.Key, ctxSwitchOps(2000), s.opts)
 	}
 	if err != nil {
 		return AblationRow{}, err

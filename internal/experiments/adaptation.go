@@ -47,7 +47,7 @@ func AdaptationCurve(epochLen, epochs int, ring *telemetry.EventRing) (*telemetr
 	// (demand-fault PTE install + unmap clear) on the same leaf table.
 	rounds := epochLen * epochs / churnEvery
 	o.AgileWriteThreshold = rounds * churnPages * 2 * 2 / 5
-	if _, _, err := RunOps("adaptation", mixedOps(1024, epochLen*epochs, churnEvery, churnPages), o); err != nil {
+	if _, err := RunOps("adaptation", mixedOps(1024, epochLen*epochs, churnEvery, churnPages), o); err != nil {
 		return nil, fmt.Errorf("experiments: adaptation: %w", err)
 	}
 	return rec.Series(), nil

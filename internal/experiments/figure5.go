@@ -194,67 +194,38 @@ type ModelValidation struct {
 }
 
 // ValidateModel runs the paper's methodology end to end for one workload at
-// 4K: measure native/nested/shadow, collect the agile run's miss and trap
-// logs (the BadgerTrap and trace-cmd analogs), project agile performance
-// with the Table IV model, and report it against direct simulation. The
-// four constituent measurements are independent and run as one sweep.
+// 4K: measure native/nested/shadow, classify the agile run's TLB misses and
+// count the shadow and agile runs' VM exits by cause (the BadgerTrap and
+// trace-cmd analogs), project agile performance with the Table IV model,
+// and report it against direct simulation. The four constituent
+// measurements are independent and run as one sweep.
 func ValidateModel(name string, accesses int, seed int64) (ModelValidation, error) {
 	return ValidateModelSweep(context.Background(), sweep.Config{}, name, accesses, seed)
 }
 
-// validateRun is one ValidateModel measurement plus the logs it collected.
-type validateRun struct {
-	rep   cpu.Report
-	miss  trace.MissLog
-	traps trace.TrapLog
-}
-
 // ValidateModelSweep is ValidateModel on an explicit sweep configuration.
+// Its four arms are plain cells, the same ones Figure 5 measures for the
+// workload at 4K: the miss classes come from the agile report's walker
+// counters and the trap counts from the shadow and agile reports, so every
+// arm is memoized and deduplicated.
 func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, accesses int, seed int64) (ModelValidation, error) {
-	type spec struct {
-		opts        Options
-		miss, traps bool
-	}
-	mk := func(tech walker.Mode) Options {
+	techs := Techniques()
+	jobs := make([]sweep.Job[Options], 0, len(techs))
+	for _, tech := range techs {
 		o := DefaultOptions(tech, pagetable.Size4K)
 		o.Accesses = accesses
 		o.Seed = seed
-		return o
+		dedup, _ := CellKey(name, o)
+		jobs = append(jobs, sweep.Job[Options]{Key: name + "/" + tech.String(), Workload: name, Options: o, DedupKey: dedup})
 	}
-	// The native and nested measurements are plain cells and carry their
-	// content key for sweep dedup and report caching; the shadow and agile
-	// jobs attach logs at run time, which makes them instrumented — they
-	// must simulate for real, so they declare no DedupKey.
-	dedup := func(o Options) string { k, _ := CellKey(name, o); return k }
-	nativeOpts, nestedOpts := mk(walker.ModeNative), mk(walker.ModeNested)
-	jobs := []sweep.Job[spec]{
-		{Key: name + "/native", Workload: name, Options: spec{opts: nativeOpts}, DedupKey: dedup(nativeOpts)},
-		{Key: name + "/nested", Workload: name, Options: spec{opts: nestedOpts}, DedupKey: dedup(nestedOpts)},
-		{Key: name + "/shadow", Workload: name, Options: spec{opts: mk(walker.ModeShadow), traps: true}},
-		{Key: name + "/agile", Workload: name, Options: spec{opts: mk(walker.ModeAgile), miss: true, traps: true}},
-	}
-	runs, err := sweep.Run(ctx, cfg, jobs, func(_ context.Context, j sweep.Job[spec]) (validateRun, error) {
-		var out validateRun
-		o := j.Options.opts
-		if j.Options.miss {
-			o.MissLog = &out.miss
-		}
-		if j.Options.traps {
-			o.TrapLog = &out.traps
-		}
-		rep, err := RunProfile(j.Workload, o)
-		if err != nil {
-			return validateRun{}, err
-		}
-		out.rep = rep
-		return out, nil
+	reps, err := sweep.Run(ctx, cfg, jobs, func(_ context.Context, j sweep.Job[Options]) (cpu.Report, error) {
+		return RunProfile(j.Workload, j.Options)
 	})
 	if err != nil {
 		return ModelValidation{}, err
 	}
-	nativeRep, nestedRep, shadowRep, agileRep := runs[0].rep, runs[1].rep, runs[2].rep, runs[3].rep
-	shadowTraps := runs[2].traps
-	agileMiss, agileTraps := runs[3].miss, runs[3].traps
+	// Techniques() order: native, nested, shadow, agile.
+	nativeRep, nestedRep, shadowRep, agileRep := reps[0], reps[1], reps[2], reps[3]
 
 	ideal := nativeRep.IdealCycles
 	toMeasured := func(r cpu.Report) perfmodel.Measured {
@@ -265,10 +236,12 @@ func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, acce
 			HypervisorCycles: r.VMMCycles,
 		}
 	}
+	shadowTraps := trace.TrapLog{Counts: shadowRep.VMM.Traps}
+	agileTraps := trace.TrapLog{Counts: agileRep.VMM.Traps}
 	avoided := trace.AvoidedCycles(&shadowTraps, &agileTraps, vmm.DefaultCostModel())
 	proj, err := perfmodel.ProjectAgile(
 		toMeasured(nestedRep), toMeasured(shadowRep), ideal,
-		agileMiss.Summary().NestedFractions(),
+		trace.SummaryOf(agileRep.Walker).NestedFractions(),
 		nativeRep.Machine.TLBMisses, avoided,
 	)
 	if err != nil {

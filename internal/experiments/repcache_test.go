@@ -15,41 +15,40 @@ import (
 // The report cache must be invisible in results: a warm re-run of any
 // driver returns bit-identical output to its cold run, with the second run
 // served from stored reports. Each subtest runs its driver cold (cache
-// reset), then warm, deep-compares, and asserts the warm run actually hit.
+// reset), then warm, deep-compares, and asserts the warm run was served
+// entirely from the cache. Table I and Table VI qualify because they read
+// their miss and trap classes from report counters, not attached logs.
 
 func TestCachedVsFreshBitIdentity(t *testing.T) {
 	const accesses, seed = 2000, 42
 	drivers := []struct {
 		name string
 		run  func() (any, error)
-		// uncached drivers run real simulations every time (µbench or
-		// instrumented jobs) but must still produce identical results.
-		wantHits bool
 	}{
 		{"Figure5", func() (any, error) {
 			return Figure5Sweep(context.Background(), sweep.Config{}, []string{"dedup", "mcf"}, accesses, seed)
-		}, true},
+		}},
 		{"TableV", func() (any, error) {
 			return TableVSweep(context.Background(), sweep.Config{}, accesses, seed)
-		}, true},
+		}},
 		{"Sensitivity", func() (any, error) {
 			return SensitivitySweep(context.Background(), sweep.Config{}, accesses, seed)
-		}, true},
+		}},
 		{"SHSP", func() (any, error) {
 			return SHSPComparisonSweep(context.Background(), sweep.Config{}, []string{"memcached"}, accesses, seed)
-		}, true},
+		}},
 		{"Ablations", func() (any, error) {
 			return AblationsSweep(context.Background(), sweep.Config{}, accesses, seed)
-		}, true},
+		}},
 		{"ValidateModel", func() (any, error) {
 			return ValidateModelSweep(context.Background(), sweep.Config{}, "dedup", accesses, seed)
-		}, true},
+		}},
 		{"TableVI", func() (any, error) {
 			return TableVISweep(context.Background(), sweep.Config{}, []string{"dedup"}, accesses, seed)
-		}, false},
+		}},
 		{"TableI", func() (any, error) {
 			return TableISweep(context.Background(), sweep.Config{})
-		}, false},
+		}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -58,6 +57,7 @@ func TestCachedVsFreshBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, coldMisses, _ := repcache.Stats()
 			warm, err := d.run()
 			if err != nil {
 				t.Fatal(err)
@@ -65,12 +65,12 @@ func TestCachedVsFreshBitIdentity(t *testing.T) {
 			if !reflect.DeepEqual(cold, warm) {
 				t.Fatal("warm (cached) results differ from cold run")
 			}
-			hits, _, _ := repcache.Stats()
-			if d.wantHits && hits == 0 {
+			hits, misses, _ := repcache.Stats()
+			if hits == 0 {
 				t.Fatal("warm run recorded no cache hits")
 			}
-			if !d.wantHits && hits != 0 {
-				t.Fatalf("uncacheable driver recorded %d cache hits", hits)
+			if misses != coldMisses {
+				t.Fatalf("warm run simulated %d cells; every cell should be served from the cache", misses-coldMisses)
 			}
 		})
 	}

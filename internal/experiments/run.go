@@ -53,12 +53,13 @@ type Options struct {
 	// series shows the mediated⇒direct transition.
 	AgileWriteThreshold int
 
-	// Optional instrumentation.
+	// MissLog attaches a per-miss log (the BadgerTrap step) at the start of
+	// the measured window. The drivers do not need it: a report's walker
+	// counters already hold the miss classes (trace.SummaryOf).
 	MissLog *trace.MissLog
-	TrapLog *trace.TrapLog
 
-	// Metrics attaches an epoch-based telemetry recorder; like the logs it
-	// attaches at the start of the measured window (after warmup) and its
+	// Metrics attaches an epoch-based telemetry recorder; like the miss log
+	// it attaches at the start of the measured window (after warmup) and its
 	// final partial epoch is flushed when the run ends. WalkEvents attaches
 	// a bounded per-walk event ring for Chrome-trace export. Neither
 	// perturbs simulated results (see TestTelemetryPurity).
@@ -117,12 +118,12 @@ func machineConfig(o Options) cpu.Config {
 	return cfg
 }
 
-// instrumented reports whether o attaches an observer (miss/trap log,
-// telemetry recorder, walk-event ring). Instrumented runs must simulate for
-// real every time — their value is the observer's side effects, which a
-// cached report cannot replay — so they bypass the report cache entirely.
+// instrumented reports whether o attaches an observer (miss log, telemetry
+// recorder, walk-event ring). Instrumented runs must simulate for real
+// every time — their value is the observer's side effects, which a cached
+// report cannot replay — so they bypass the report cache entirely.
 func instrumented(o Options) bool {
-	return o.MissLog != nil || o.TrapLog != nil || o.Metrics != nil || o.WalkEvents != nil
+	return o.MissLog != nil || o.Metrics != nil || o.WalkEvents != nil
 }
 
 // cellKey derives the canonical report-cache key for one simulation cell:
@@ -196,7 +197,7 @@ func runCell(prof workload.Profile, cfg cpu.Config, o Options) (cpu.Report, erro
 	if err != nil {
 		return cpu.Report{}, err
 	}
-	rep, err := runStream(m, prof, o)
+	rep, err := runStream(m, prof, o, func(m *cpu.Machine) { attachLogs(m, o) })
 	if err == nil {
 		// Only clean runs recycle; a failed run's machine state is suspect.
 		cpu.ReleaseMachine(m)
@@ -205,17 +206,18 @@ func runCell(prof workload.Profile, cfg cpu.Config, o Options) (cpu.Report, erro
 }
 
 // runStream replays the shared op stream for (prof, o) on m: warmup ops,
-// measurement reset, measured ops, telemetry flush. Every technique and
-// sweep cell asking for the same (profile, page size, accesses, seed)
-// replays one cached packed stream (workload.SharedStream), so stream
-// generation is paid once per sweep instead of once per run. Consumption
-// is chunked: decoded chunks feed the machine's batched executor through
-// one reusable buffer, and — because SharedStream publishes chunks as the
-// generator produces them — the head of a cold stream executes while its
-// tail is still generating. The warmup/measure split lands exactly after
-// the warm-th OpAccess, wherever in a chunk that falls (pinned by the
-// golden test).
-func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, error) {
+// measurement reset, attach (which installs observers, so they see exactly
+// the window the report's counters cover), measured ops, telemetry flush.
+// Every technique and sweep cell asking for the same (profile, page size,
+// accesses, seed) replays one cached packed stream (workload.SharedStream),
+// so stream generation is paid once per sweep instead of once per run.
+// Consumption is chunked: decoded chunks feed the machine's batched
+// executor through one reusable buffer, and — because SharedStream
+// publishes chunks as the generator produces them — the head of a cold
+// stream executes while its tail is still generating. The warmup/measure
+// split lands exactly after the warm-th OpAccess, wherever in a chunk that
+// falls (pinned by the golden test).
+func runStream(m *cpu.Machine, prof workload.Profile, o Options, attach func(*cpu.Machine)) (cpu.Report, error) {
 	warm := warmupCount(o)
 	r := workload.SharedStream(prof, o.PageSize, warm+o.Accesses, o.Seed).Reader()
 	defer r.Close()
@@ -223,7 +225,7 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 		return cpu.Report{}, fmt.Errorf("experiments: %s/%v/%v: %w", prof.Name, o.Technique, o.PageSize, err)
 	}
 	if warm <= 0 {
-		attachLogs(m, o)
+		attach(m)
 	}
 	base, pending := 0, warm
 	for {
@@ -237,10 +239,10 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 				if err := m.RunOps(ops[:idx], base); err != nil {
 					return fail(err)
 				}
-				// End of warmup: measure steady state only. Logs attach
-				// here so traces cover the measured window.
+				// End of warmup: measure steady state only. Observers
+				// attach here so traces cover the measured window.
 				m.ResetMeasurement()
-				attachLogs(m, o)
+				attach(m)
 				ops, base = ops[idx:], base+idx
 			}
 			pending -= seen
@@ -253,7 +255,7 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 	if pending > 0 {
 		// Stream shorter than the warmup window: all of it was warmup.
 		m.ResetMeasurement()
-		attachLogs(m, o)
+		attach(m)
 	}
 	m.FlushTelemetry()
 	return m.Report(prof.Name), nil
@@ -274,26 +276,30 @@ func splitAfterAccesses(ops []workload.Op, n int) (idx, seen int) {
 	return len(ops), seen
 }
 
-// RunOps simulates a fixed op stream (microbenchmarks).
-func RunOps(name string, ops []workload.Op, o Options) (cpu.Report, *cpu.Machine, error) {
-	m, err := cpu.New(machineConfig(o))
+// RunOps simulates a fixed op stream (microbenchmarks). Like RunProfile it
+// memoizes uninstrumented runs, keyed by the machine configuration, name
+// and every op (repcache.DoOps); instrumented runs simulate every time.
+func RunOps(name string, ops []workload.Op, o Options) (cpu.Report, error) {
+	cfg := machineConfig(o)
+	if !instrumented(o) {
+		return repcache.DoOps(cfg, name, ops)
+	}
+	m, err := cpu.New(cfg)
 	if err != nil {
-		return cpu.Report{}, nil, err
+		return cpu.Report{}, err
 	}
 	attachLogs(m, o)
 	if err := m.RunOps(ops, 0); err != nil {
-		return cpu.Report{}, nil, err
+		return cpu.Report{}, err
 	}
 	m.FlushTelemetry()
-	return m.Report(name), m, nil
+	return m.Report(name), nil
 }
 
+// attachLogs installs o's observers on m.
 func attachLogs(m *cpu.Machine, o Options) {
 	if o.MissLog != nil {
 		m.SetMissObserver(o.MissLog.Observer())
-	}
-	if o.TrapLog != nil && m.VM != nil {
-		m.VM.SetTrapObserver(o.TrapLog.Observer())
 	}
 	if o.Metrics != nil {
 		m.SetTelemetry(o.Metrics)

@@ -65,36 +65,29 @@ func tableIRow(tech walker.Mode) (TableIRow, error) {
 	// Walk cost: thrash a region far beyond TLB reach with periodic
 	// page-table churn in a side region, no MMU caches. Under agile the
 	// churned subtree runs nested, producing the 4–5 average of Table I.
-	var misses trace.MissLog
 	o := DefaultOptions(tech, 0)
 	o.DisablePWC, o.DisableNTLB = true, true
 	o.AgileStartNested = false
-	o.MissLog = &misses
-	if _, _, err := RunOps("table1-walk", mixedOps(1024, 30_000, 1500, 16), o); err != nil {
+	walk, err := RunOps("table1-walk", mixedOps(1024, 30_000, 1500, 16), o)
+	if err != nil {
 		return TableIRow{}, err
 	}
-	s := misses.Summary()
-	row.AvgRefs = s.AvgRefs()
-	for _, rec := range misses.Records {
-		if int(rec.Refs) > row.MaxRefs {
-			row.MaxRefs = int(rec.Refs)
-		}
-	}
+	row.AvgRefs = trace.SummaryOf(walk.Walker).AvgRefs()
+	row.MaxRefs = walk.RefsMax
 
 	// Update cost: page-table churn; cycles of update-servicing traps
 	// per guest page-table update.
-	var traps trace.TrapLog
 	o2 := DefaultOptions(tech, 0)
 	o2.AgileStartNested = false
-	o2.TrapLog = &traps
-	rep, _, err := RunOps("table1-update", ptUpdateOps(64, 32), o2)
+	rep, err := RunOps("table1-update", ptUpdateOps(64, 32), o2)
 	if err != nil {
 		return TableIRow{}, err
 	}
 	updates := rep.OS.MapsInstalled + rep.OS.Unmapped
 	costs := vmm.DefaultCostModel()
-	mediated := traps.Counts[vmm.TrapPTWrite]*costs.Cycles[vmm.TrapPTWrite] +
-		traps.Counts[vmm.TrapTLBFlush]*costs.Cycles[vmm.TrapTLBFlush]
+	traps := rep.VMM.Traps
+	mediated := traps[vmm.TrapPTWrite]*costs.Cycles[vmm.TrapPTWrite] +
+		traps[vmm.TrapTLBFlush]*costs.Cycles[vmm.TrapTLBFlush]
 	if updates > 0 {
 		row.UpdateCycles = float64(mediated) / float64(updates)
 	}

@@ -28,9 +28,11 @@ func TableVI(workloads []string, accesses int, seed int64) ([]TableVIRow, error)
 	return TableVISweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
 }
 
-// TableVISweep is TableVI on an explicit sweep configuration: one job per
-// workload, each with its own private miss log. On error the returned rows
-// hold whatever workloads completed.
+// TableVISweep is TableVI on an explicit sweep configuration: one plain
+// cell per workload, whose miss classes come from the report's walker
+// counters (trace.SummaryOf), so the cells are memoized and deduplicated
+// like any other. On error the returned rows hold whatever workloads
+// completed.
 func TableVISweep(ctx context.Context, cfg sweep.Config, workloads []string, accesses int, seed int64) ([]TableVIRow, error) {
 	if workloads == nil {
 		workloads = workload.Names()
@@ -42,18 +44,15 @@ func TableVISweep(ctx context.Context, cfg sweep.Config, workloads []string, acc
 		o.Seed = seed
 		o.DisablePWC = true
 		o.DisableNTLB = true
-		jobs = append(jobs, sweep.Job[Options]{Key: "table6/" + name, Workload: name, Options: o})
+		dedup, _ := CellKey(name, o)
+		jobs = append(jobs, sweep.Job[Options]{Key: "table6/" + name, Workload: name, Options: o, DedupKey: dedup})
 	}
 	out := sweep.Execute(ctx, cfg, jobs, func(_ context.Context, j sweep.Job[Options]) (TableVIRow, error) {
-		// The miss log is created inside the job so concurrent jobs never
-		// share an observer.
-		var miss trace.MissLog
-		o := j.Options
-		o.MissLog = &miss
-		if _, err := RunProfile(j.Workload, o); err != nil {
+		rep, err := RunProfile(j.Workload, j.Options)
+		if err != nil {
 			return TableVIRow{}, err
 		}
-		s := miss.Summary()
+		s := trace.SummaryOf(rep.Walker)
 		row := TableVIRow{Workload: j.Workload, AvgRefs: s.AvgRefs()}
 		for c := 0; c < 6; c++ {
 			row.Fractions[c] = s.Fraction(c)

@@ -95,7 +95,7 @@ func TestMissLogWriteBitsSurviveRoundTrip(t *testing.T) {
 	o.MissLog = &miss
 	// readThenWriteOps stores to every page after reading it, so write
 	// misses (and shadow write-protect retries) are guaranteed.
-	if _, _, err := RunOps("write-heavy", readThenWriteOps(64), o); err != nil {
+	if _, err := RunOps("write-heavy", readThenWriteOps(64), o); err != nil {
 		t.Fatal(err)
 	}
 	s := miss.Summary()

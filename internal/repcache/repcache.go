@@ -18,7 +18,7 @@
 // arrays and one string, no pointers — so a stored report handed to a
 // second caller is bit-identical to re-simulating. The key covers every
 // input that can alter the report; anything it cannot see (an attached
-// miss/trap log, a telemetry recorder) must bypass the cache entirely —
+// miss log, a telemetry recorder) must bypass the cache entirely —
 // the experiments layer enforces that by construction, and instrumented
 // runs never reach Do.
 //
@@ -39,6 +39,7 @@ package repcache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
@@ -82,21 +83,72 @@ func KeyFor(cfg cpu.Config, prof workload.Profile, accesses, warmup int, seed in
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
+// opsKeyVersion versions KeyForOps on its own, so a change to the op-cell
+// encoding leaves profile-cell keys (and their disk files) intact.
+const opsKeyVersion = 2
+
+// opKeyBytes is the fixed width KeyForOps encodes one op in: seven 8-byte
+// integer fields and two bool bytes.
+const opKeyBytes = 7*8 + 2
+
 // KeyForOps derives the content key of a fixed-op-stream cell — a scenario
-// replay, where the caller supplies the exact op list rather than a
-// generated profile. The key covers the normalized machine configuration
-// and every op verbatim, so two scenarios are cache-equal exactly when they
-// replay the same ops on the same machine.
+// replay or an experiments microbenchmark, where the caller supplies the
+// exact op list rather than a generated profile. The key covers the
+// normalized machine configuration, the cell name and every field of every
+// op, so two cells are cache-equal exactly when they replay the same ops on
+// the same machine. Ops are hashed in a fixed-width little-endian encoding:
+// a list of tens of thousands of ops keys in a small fraction of the time
+// simulating it takes.
 func KeyForOps(cfg cpu.Config, name string, ops []workload.Op) string {
 	cfg = cfg.Normalized()
 	h := sha256.New()
-	fmt.Fprintf(h, "repcache/ops/v%d|%#v|%q|n%d", keyFormatVersion, cfg, name, len(ops))
+	fmt.Fprintf(h, "repcache/ops/v%d|%#v|%q|n%d", opsKeyVersion, cfg, name, len(ops))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 256*opKeyBytes)
 	for i := range ops {
 		op := &ops[i]
-		fmt.Fprintf(h, "|%d,%d,%d,%d,%d,%d,%t,%t,%d",
-			op.Kind, op.PID, op.Core, op.VA, op.Len, op.Size, op.Write, op.Fetch, op.N)
+		buf = le.AppendUint64(buf, uint64(op.Kind))
+		buf = le.AppendUint64(buf, uint64(op.PID))
+		buf = le.AppendUint64(buf, uint64(op.Core))
+		buf = le.AppendUint64(buf, op.VA)
+		buf = le.AppendUint64(buf, op.Len)
+		buf = le.AppendUint64(buf, uint64(op.Size))
+		buf = append(buf, boolByte(op.Write), boolByte(op.Fetch))
+		buf = le.AppendUint64(buf, uint64(op.N))
+		if len(buf)+opKeyBytes > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// DoOps returns the report of the fixed-op-stream cell (cfg, name, ops):
+// memoized under KeyForOps, and on a miss simulated by replaying ops on a
+// pristine machine from the machine pool and reporting under name.
+func DoOps(cfg cpu.Config, name string, ops []workload.Op) (cpu.Report, error) {
+	return Do(KeyForOps(cfg, name, ops), func() (cpu.Report, error) {
+		m, err := cpu.AcquireMachine(cfg)
+		if err != nil {
+			return cpu.Report{}, err
+		}
+		if err := m.RunOps(ops, 0); err != nil {
+			// A failed replay leaves the machine mid-run; let the GC have
+			// it rather than pool suspect state.
+			return cpu.Report{}, err
+		}
+		rep := m.Report(name)
+		cpu.ReleaseMachine(m)
+		return rep, nil
+	})
 }
 
 // entry is one cache slot. once gates the single computation; bytes stays 0

@@ -10,6 +10,7 @@ import (
 
 	"agilepaging/internal/cpu"
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
 
@@ -107,6 +108,89 @@ func TestKeyForNormalizes(t *testing.T) {
 	p.Processes, p.Threads = 0, 0
 	if KeyFor(cfg, p, 1000, 500, 42) != base {
 		t.Error("Processes/Threads 0 and 1 should share a key")
+	}
+}
+
+// TestKeyForOpsCoversEveryOpField perturbs each field of one op in turn
+// (walking the struct by reflection, so a field added to workload.Op
+// without being encoded fails here) and requires a distinct key each time.
+func TestKeyForOpsCoversEveryOpField(t *testing.T) {
+	cfg := sampleConfig()
+	ops := []workload.Op{
+		{Kind: workload.OpCreateProcess},
+		{Kind: workload.OpMmap, PID: 1, Core: 1, VA: 0x4000_0000, Len: 1 << 20, Size: pagetable.Size4K, N: 3},
+		{Kind: workload.OpAccess, VA: 0x4000_1000},
+	}
+	base := KeyForOps(cfg, "ops", ops)
+	seen := map[string]string{base: "base"}
+	typ := reflect.TypeOf(workload.Op{})
+	for i := 0; i < typ.NumField(); i++ {
+		mod := append([]workload.Op(nil), ops...)
+		f := reflect.ValueOf(&mod[1]).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("field %s: kind %s not covered by this test", typ.Field(i).Name, f.Kind())
+		}
+		key := KeyForOps(cfg, "ops", mod)
+		if prev, ok := seen[key]; ok {
+			t.Errorf("changing %s gives the key of %s", typ.Field(i).Name, prev)
+		}
+		seen[key] = typ.Field(i).Name
+	}
+	if KeyForOps(cfg, "ops", ops[:2]) == base {
+		t.Error("dropping an op did not change the key")
+	}
+	if KeyForOps(cfg, "other", ops) == base {
+		t.Error("the cell name did not change the key")
+	}
+	c := cfg
+	c.HardwareAD = !c.HardwareAD
+	if KeyForOps(c, "ops", ops) == base {
+		t.Error("the machine configuration did not change the key")
+	}
+	if KeyForOps(cfg, "ops", append([]workload.Op(nil), ops...)) != base {
+		t.Error("equal op lists keyed differently")
+	}
+}
+
+// TestDoOpsMemoizes runs one op cell twice: the first simulates, the second
+// is a hit, and both equal a direct replay on a fresh machine.
+func TestDoOpsMemoizes(t *testing.T) {
+	reset(t)
+	cfg := cpu.DefaultConfig(walker.ModeShadow, pagetable.Size4K)
+	ops := []workload.Op{
+		{Kind: workload.OpCreateProcess},
+		{Kind: workload.OpCtxSwitch},
+		{Kind: workload.OpMmap, VA: 0x4000_0000, Len: 64 << 12, Size: pagetable.Size4K},
+	}
+	for p := uint64(0); p < 64; p++ {
+		ops = append(ops, workload.Op{Kind: workload.OpAccess, VA: 0x4000_0000 + p<<12, Write: p%3 == 0})
+	}
+	m, err := cpu.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunOps(ops, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := m.Report("cell")
+	for i := 0; i < 2; i++ {
+		got, err := DoOps(cfg, "cell", ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("run %d: DoOps report differs from a direct replay", i)
+		}
+	}
+	if hits, misses, _ := Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 }
 

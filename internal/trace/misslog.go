@@ -110,6 +110,27 @@ func (s MissSummary) NestedFractions() perfmodel.NestedFractions {
 	return f
 }
 
+// SummaryOf derives the Table VI classes of a run from its walker counters,
+// without a per-miss log. It equals the Summary of a MissLog attached for
+// the same measured window on Total, ByClass and SumRefs: the machine logs
+// exactly the walks the walker counts (the completed ones), and a walk
+// that pays the gptr translation starts nested at the root, so when it
+// ends at a 4K leaf it has all four levels nested and the full-nested
+// class is carved out of ByNestedLevels[4]. A full-nested walk that ends at
+// a huge guest leaf lands in a lower bucket instead, so the derivation is
+// exact only for guests that map 4K pages, as every Table I, Table VI and
+// model-validation cell does. Writes and Retries are per-record flags the
+// counters do not keep; they stay zero.
+func SummaryOf(s walker.Stats) MissSummary {
+	var out MissSummary
+	out.Total = s.Walks
+	out.SumRefs = s.Refs
+	copy(out.ByClass[:4], s.ByNestedLevels[:4])
+	out.ByClass[4] = s.ByNestedLevels[4] - s.FullNested
+	out.ByClass[5] = s.FullNested
+	return out
+}
+
 // Summary classifies the log.
 func (l *MissLog) Summary() MissSummary {
 	var s MissSummary

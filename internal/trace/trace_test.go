@@ -85,6 +85,22 @@ func TestMissLogObserverAndSummary(t *testing.T) {
 	}
 }
 
+// TestSummaryOfClasses maps walker counters holding every class at once:
+// full-nested walks count in ByNestedLevels[4] and FullNested, and
+// SummaryOf carves them out of class 4.
+func TestSummaryOfClasses(t *testing.T) {
+	s := SummaryOf(walker.Stats{
+		Walks:          1 + 2 + 3 + 4 + (5 + 6),
+		Refs:           999,
+		ByNestedLevels: [5]uint64{1, 2, 3, 4, 5 + 6},
+		FullNested:     6,
+	})
+	want := MissSummary{Total: 21, ByClass: [6]uint64{1, 2, 3, 4, 5, 6}, SumRefs: 999}
+	if s != want {
+		t.Fatalf("SummaryOf = %+v, want %+v", s, want)
+	}
+}
+
 func TestMissLogRoundTrip(t *testing.T) {
 	l := &MissLog{Records: []MissRecord{
 		{VA: 0x7f0000001000, Refs: 4},

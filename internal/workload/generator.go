@@ -67,9 +67,9 @@ type Synthetic struct {
 	// buffer rewinds to its start whenever it drains. Burst ops (churn,
 	// COW write-through) therefore reuse one steady-state allocation
 	// instead of re-growing a sliding slice on every burst.
-	queue    []Op
-	head     int
-	emitted  int // steady-phase accesses emitted so far
+	queue       []Op
+	head        int
+	emitted     int // steady-phase accesses emitted so far
 	curPID      int
 	churnGen    map[int]int // churn events so far, per process
 	collapseGen map[int]int // collapse events so far, per process

@@ -118,17 +118,17 @@ func TestDecodeChunkHostile(t *testing.T) {
 		data []byte
 		want int
 	}{
-		"empty with want":      {nil, 1},
-		"negative want":        {valid.data, -1},
-		"oversize want":        {valid.data, PackedChunkOps + 1},
-		"count mismatch low":   {valid.data, 1},
-		"count mismatch high":  {valid.data, 3},
-		"truncated":            {valid.data[:len(valid.data)-1], valid.ops},
-		"trailing garbage":     {append(append([]byte(nil), valid.data...), 0x00), valid.ops},
-		"unterminated varint":  {[]byte{byte(OpAccess) | flagCtx, 0x80, 0x80}, 1},
-		"varint overflow":      {[]byte{byte(OpAccess), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 1},
-		"escape kind cut":      {[]byte{kindEscape}, 1},
-		"extra fields cut":     {[]byte{byte(OpMmap) | flagExtra, 0x05}, 1},
+		"empty with want":     {nil, 1},
+		"negative want":       {valid.data, -1},
+		"oversize want":       {valid.data, PackedChunkOps + 1},
+		"count mismatch low":  {valid.data, 1},
+		"count mismatch high": {valid.data, 3},
+		"truncated":           {valid.data[:len(valid.data)-1], valid.ops},
+		"trailing garbage":    {append(append([]byte(nil), valid.data...), 0x00), valid.ops},
+		"unterminated varint": {[]byte{byte(OpAccess) | flagCtx, 0x80, 0x80}, 1},
+		"varint overflow":     {[]byte{byte(OpAccess), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 1},
+		"escape kind cut":     {[]byte{kindEscape}, 1},
+		"extra fields cut":    {[]byte{byte(OpMmap) | flagExtra, 0x05}, 1},
 	}
 	for name, tc := range cases {
 		if _, err := decodeChunkInto(tc.data, buf, tc.want); err == nil {

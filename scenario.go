@@ -156,22 +156,9 @@ func (s *Scenario) Run(cfg ScenarioConfig) (Result, error) {
 	mc.CtxSwitchCache = cfg.CtxSwitchCacheEntries
 	mc.EnablePWC = !cfg.DisableMMUCaches
 	mc.EnableNTLB = !cfg.DisableMMUCaches
-	rep, err := repcache.Do(repcache.KeyForOps(mc, "scenario", s.ops), func() (cpu.Report, error) {
-		m, err := cpu.AcquireMachine(mc)
-		if err != nil {
-			return cpu.Report{}, err
-		}
-		if err := m.RunOps(s.ops, 0); err != nil {
-			// A failed replay leaves the machine mid-scenario; let the GC
-			// have it rather than pool suspect state.
-			return cpu.Report{}, fmt.Errorf("agilepaging: scenario: %w", err)
-		}
-		rep := m.Report("scenario")
-		cpu.ReleaseMachine(m)
-		return rep, nil
-	})
+	rep, err := repcache.DoOps(mc, "scenario", s.ops)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("agilepaging: scenario: %w", err)
 	}
 	return Result{
 		Workload:         "scenario",
