@@ -321,8 +321,8 @@ func walkBench(b *testing.B, technique walker.Mode, agileNestedLevels int, fullN
 	b.ResetTimer()
 	refs := 0
 	for i := 0; i < b.N; i++ {
-		res, fault := w.Walk(regs, gva, false)
-		if fault != nil {
+		var res walker.Result
+		if fault := w.Walk(regs, gva, false, &res); fault != nil {
 			b.Fatal(fault)
 		}
 		refs = res.Refs

@@ -55,7 +55,8 @@ func (f *fixture) mapPage(gva uint64) uint64 {
 func (f *fixture) access(gva uint64, write bool) walker.Result {
 	f.t.Helper()
 	for i := 0; i < 8; i++ {
-		r, fault := f.w.Walk(f.ctx.Regs(), gva, write)
+		var r walker.Result
+		fault := f.w.Walk(f.ctx.Regs(), gva, write, &r)
 		if fault == nil {
 			if write && !r.Flags.Writable() {
 				resolved, err := f.ctx.HandleWriteProtect(gva)

@@ -162,6 +162,46 @@ func TestAccessHitZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAccessMissZeroAllocs extends the guard to the miss path: an access
+// that misses every TLB array, walks, and fills (its fill counting as its
+// hit) allocates nothing, under every technique. The region is 16x the
+// scaled TLB reach and is swept in order, so every measured access walks.
+func TestAccessMissZeroAllocs(t *testing.T) {
+	const pages = 1024
+	for _, tech := range []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile} {
+		cfg := smallConfig(tech, pagetable.Size4K)
+		cfg.PolicyTickOps = 1 << 30 // keep the policy tick out of the window
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := uint64(0x4000_0000)
+		if err := m.RunOps(setupOps(base, pages<<12, pagetable.Size4K), 0); err != nil {
+			t.Fatal(err)
+		}
+		next := uint64(0)
+		access := func() {
+			if err := m.Access(base+next%pages<<12, false); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		// The first sweep takes the faults and shadow fills, which may
+		// allocate.
+		for range pages {
+			access()
+		}
+		misses := m.Stats().TLBMisses
+		allocs := testing.AllocsPerRun(200, access)
+		if got := m.Stats().TLBMisses - misses; got != 201 {
+			t.Fatalf("%v: %d of 201 measured accesses missed the TLB, want all", tech, got)
+		}
+		if allocs != 0 {
+			t.Errorf("%v TLB-miss access allocates %.1f objects/op, want 0", tech, allocs)
+		}
+	}
+}
+
 // BenchmarkMachineConstruct prices the construct-per-run lifecycle the
 // machine pool exists to avoid: a full New per sweep cell (memsim arena,
 // per-core TLB hierarchies, PWCs, walkers, VMM, guest OS).

@@ -193,9 +193,9 @@ type Stats struct {
 // Machine.translate). Validity is generation-checked: the memo is usable
 // only while the core's TLB hierarchy has seen no invalidation or flush
 // since the memo was recorded (tlb.Hierarchy.Gen). Because the memo always
-// describes the core's most recent lookup, the entry is necessarily still
-// most-recent in its TLB set, so no intervening insert can have evicted it
-// and skipping the LRU touch is unobservable.
+// describes the core's most recent lookup hit or walk fill, the entry is
+// necessarily still most-recent in its TLB set, so no intervening insert
+// can have evicted it and skipping the LRU touch is unobservable.
 type l0Memo struct {
 	gen      uint64 // tlbs.Gen() when recorded
 	base     uint64 // VA page base
@@ -220,6 +220,8 @@ type coreState struct {
 	// the ASID→context map on every access.
 	ctx *vmm.Context
 	l0  l0Memo
+	// walk receives each hardware walk's result in place.
+	walk walker.Result
 }
 
 // Machine is the assembled simulator.
@@ -402,11 +404,12 @@ func (m *Machine) SetMissObserver(fn func(va uint64, write, retry bool, res walk
 
 // SetAccessObserver installs a callback invoked once per successful data or
 // fetch access with the final translated host-physical address. Every
-// successful access terminates in a TLB hit (walks insert and re-probe), so
-// the hook sees exactly one event per access, in program order, regardless
-// of technique. It requires DisableL0Memo: the L0 repeat path short-circuits
-// before the physical address is recomputed. The differential-equivalence
-// harness uses it to track per-frame memory contents.
+// successful access terminates in a TLB hit (a walk's fill counts as its
+// hit), so the hook sees exactly one event per access, in program order,
+// regardless of technique. It requires DisableL0Memo: the L0 repeat path
+// short-circuits before the physical address is recomputed. The
+// differential-equivalence harness uses it to track per-frame memory
+// contents.
 func (m *Machine) SetAccessObserver(fn func(va uint64, write bool, pa uint64, size pagetable.Size)) {
 	m.accessObs = fn
 }
@@ -628,63 +631,76 @@ func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, 
 	// record is marked as a retry rather than silently duplicated.
 	logged := false
 	for attempt := 0; attempt < 32; attempt++ {
-		if r, ok := c.tlbs.Lookup(c.regs.ASID, va, fetch); ok {
-			if write && !r.Flags.Writable() {
-				if err := m.writeProtFault(c, cur, va); err != nil {
+		r, ok := c.tlbs.Lookup(c.regs.ASID, va, fetch)
+		if !ok {
+			m.stats.TLBMisses++
+			res := &c.walk
+			if fault := c.walker.Walk(c.regs, va, write, res); fault != nil {
+				m.chargeWalk(fault.Refs, fault.HostRefs)
+				if err := m.handleFault(c, cur, va, write, fault); err != nil {
 					return err
 				}
 				continue
 			}
-			c.l0 = l0Memo{
-				gen:      c.tlbs.Gen(),
-				base:     va &^ r.Size.Mask(),
-				mask:     r.Size.Mask(),
-				asid:     c.regs.ASID,
-				fetch:    fetch,
-				writable: r.Flags.Writable(),
-				valid:    true,
-			}
-			if m.accessObs != nil {
-				m.accessObs(va, write, r.PA, r.Size)
-			}
-			return nil
-		}
-		m.stats.TLBMisses++
-		res, fault := c.walker.Walk(c.regs, va, write)
-		if fault == nil {
-			cycles := m.chargeWalk(res.Refs, res.HostRefs)
-			m.refsHist.Add(res.Refs)
-			if m.missObs != nil {
-				m.missObs(va, write, logged, res)
-			}
+			m.walked(c, va, write, logged, res)
 			logged = true
-			if m.walkEvents != nil {
-				m.walkEvents.Record(telemetry.WalkEvent{
-					Clock:        m.clock,
-					Core:         c.idx,
-					VA:           va,
-					Refs:         res.Refs,
-					HostRefs:     res.HostRefs,
-					NestedLevels: res.NestedLevels,
-					FullNested:   res.GptrTranslated,
-					Write:        write,
-					Cycles:       cycles,
-				})
-			}
-			c.tlbs.Insert(c.regs.ASID, va, res.Size, res.HPA&^res.Size.Mask(), res.Flags, fetch)
+			r, ok = c.tlbs.Insert(c.regs.ASID, va, res.Size, res.HPA&^res.Size.Mask(), res.Flags, fetch)
 			if write && !res.Flags.Writable() {
 				if err := m.writeProtFault(c, cur, va); err != nil {
 					return err
 				}
+				continue // re-probe the TLB: the upgrade may have changed the entry
 			}
-			continue // re-probe the TLB (entry may have been upgraded)
+			if !ok {
+				continue // re-probe the TLB: no L1 array on this side took the fill
+			}
+			// The fill is its hit: the Lookup above missed, so a re-probe
+			// would hit the line just filled (see tlb.Hierarchy.Insert).
+			c.tlbs.NoteRepeatL1Hit()
+		} else if write && !r.Flags.Writable() {
+			if err := m.writeProtFault(c, cur, va); err != nil {
+				return err
+			}
+			continue
 		}
-		m.chargeWalk(fault.Refs, fault.HostRefs)
-		if err := m.handleFault(c, cur, va, write, fault); err != nil {
-			return err
+		c.l0 = l0Memo{
+			gen:      c.tlbs.Gen(),
+			base:     va &^ r.Size.Mask(),
+			mask:     r.Size.Mask(),
+			asid:     c.regs.ASID,
+			fetch:    fetch,
+			writable: r.Flags.Writable(),
+			valid:    true,
 		}
+		if m.accessObs != nil {
+			m.accessObs(va, write, r.PA, r.Size)
+		}
+		return nil
 	}
 	return fmt.Errorf("cpu: access %#x did not converge", va)
+}
+
+// walked accounts a completed walk: its cycles, the per-miss histogram,
+// the miss observer and the walk-event ring.
+func (m *Machine) walked(c *coreState, va uint64, write, retry bool, res *walker.Result) {
+	cycles := m.chargeWalk(res.Refs, res.HostRefs)
+	m.refsHist.Add(res.Refs)
+	if m.missObs != nil {
+		m.missObs(va, write, retry, *res)
+	}
+	if m.walkEvents != nil {
+		m.walkEvents.Record(telemetry.WalkEvent{
+			Clock:        m.clock,
+			Core:         c.idx,
+			VA:           va,
+			Refs:         res.Refs,
+			HostRefs:     res.HostRefs,
+			NestedLevels: res.NestedLevels,
+			FullNested:   res.GptrTranslated,
+			Write:        write,
+			Cycles:       cycles,
+		})
+	}
 }
 
 // handleFault dispatches a hardware walk fault to its handler.

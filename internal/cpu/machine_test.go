@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"agilepaging/internal/core"
@@ -428,6 +429,50 @@ func TestFetchClampsCoreIndex(t *testing.T) {
 	}
 	if got := m.Stats().Accesses; got != 1 {
 		t.Errorf("accesses = %d, want 1 (the fetch runs on core 0)", got)
+	}
+}
+
+// TestFetchFromLargePageConverges: Sandy Bridge's instruction side has no
+// 1G array and neither does its L2, and at TLBScale 64 the 2M instruction
+// array scales away too. A fetch from such a page fills the largest
+// instruction array that fits, splintering the mapping as the real ITLB
+// does, so the fetch converges, its fill counts as its L1 hit, and the next
+// fetch of the page hits in L1, with the L0 memo and without it.
+func TestFetchFromLargePageConverges(t *testing.T) {
+	cases := []struct {
+		size  pagetable.Size
+		scale int
+	}{{pagetable.Size1G, 8}, {pagetable.Size2M, 64}}
+	for _, c := range cases {
+		for _, tech := range []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile} {
+			for _, noMemo := range []bool{false, true} {
+				name := fmt.Sprintf("%v/%v/scale%d/noMemo=%v", tech, c.size, c.scale, noMemo)
+				cfg := DefaultConfig(tech, c.size)
+				cfg.TLBScale = c.scale
+				cfg.DisableL0Memo = noMemo
+				m := newMachine(t, cfg)
+				code := uint64(1 << 30)
+				mustRun(t, m, setupOps(code, c.size.Bytes(), c.size))
+				if err := m.Fetch(0, code+0x12_3456); err != nil {
+					t.Fatalf("%s: first fetch: %v", name, err)
+				}
+				// The fetch's walks miss; its last fill counts as its hit.
+				before := m.TLBs.Stats()
+				if before.L1Hits != 1 || before.L2Hits != 0 || before.Lookups != before.L1Hits+before.Misses {
+					t.Errorf("%s: first fetch TLB stats %+v, want misses then one L1 hit", name, before)
+				}
+				if err := m.Fetch(0, code+0x12_3456+64); err != nil {
+					t.Fatalf("%s: second fetch: %v", name, err)
+				}
+				after := m.TLBs.Stats()
+				if after.Lookups != before.Lookups+1 || after.L1Hits != before.L1Hits+1 {
+					t.Errorf("%s: second fetch moved TLB stats %+v -> %+v, want one L1 hit", name, before, after)
+				}
+				if after.Lookups != after.L1Hits+after.L2Hits+after.Misses {
+					t.Errorf("%s: lookups %d != L1 %d + L2 %d + misses %d", name, after.Lookups, after.L1Hits, after.L2Hits, after.Misses)
+				}
+			}
+		}
 	}
 }
 

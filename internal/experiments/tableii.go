@@ -78,8 +78,8 @@ func degreeFixture(nestedLevels int, fullNested bool) (TableIIRow, error) {
 
 	w := walker.New(mem, nil, nil)
 	w.SetRecording(true)
-	res, fault := w.Walk(ctx.Regs(), gva, false)
-	if fault != nil {
+	var res walker.Result
+	if fault := w.Walk(ctx.Regs(), gva, false, &res); fault != nil {
 		return TableIIRow{}, fmt.Errorf("experiments: degree %d walk faulted: %w", nestedLevels, fault)
 	}
 	return TableIIRow{
@@ -150,8 +150,8 @@ func WalkTraces() (map[string][]walker.Access, error) {
 	}
 	w := walker.New(mem, nil, nil)
 	w.SetRecording(true)
-	res, fault := w.Walk(walker.Regs{Mode: walker.ModeNative, Root: pt.Root()}, 0x7f00_0000_0000, false)
-	if fault != nil {
+	var res walker.Result
+	if fault := w.Walk(walker.Regs{Mode: walker.ModeNative, Root: pt.Root()}, 0x7f00_0000_0000, false, &res); fault != nil {
 		return nil, fault
 	}
 	out["native"] = res.Accesses

@@ -29,16 +29,17 @@ const (
 	VABits = 48
 )
 
-// Bytes returns the page size in bytes.
+// Bytes returns the page size in bytes. It and Mask stay small enough to
+// inline: the simulator masks addresses several times per TLB miss.
 func (s Size) Bytes() uint64 {
-	switch s {
-	case Size4K:
-		return 1 << 12
-	case Size2M:
-		return 1 << 21
-	case Size1G:
-		return 1 << 30
+	if uint(s) > uint(Size1G) {
+		invalidSize(s)
 	}
+	return 1 << (12 + IndexBits*uint(s))
+}
+
+//go:noinline
+func invalidSize(s Size) {
 	panic(fmt.Sprintf("pagetable: invalid size %d", int(s)))
 }
 

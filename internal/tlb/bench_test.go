@@ -27,9 +27,14 @@ func BenchmarkTLBLookup(b *testing.B) {
 }
 
 // BenchmarkTLBLookupMiss measures a full-hierarchy miss (every array
-// probed, no hit) — the fixed probe cost preceding each page walk.
+// probed, no hit) — the fixed probe cost preceding each page walk. An empty
+// array is not probed, so each data-side array first gets a line of
+// another address space.
 func BenchmarkTLBLookupMiss(b *testing.B) {
 	h := NewHierarchy(SandyBridgeConfig())
+	for _, size := range []pagetable.Size{pagetable.Size4K, pagetable.Size2M, pagetable.Size1G} {
+		h.Insert(2, 0, size, 0, pagetable.FlagPresent, false)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -186,13 +186,15 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // or narrow a cached translation — and never on lookups or inserts.
 func (h *Hierarchy) Gen() uint64 { return h.gen }
 
-// NoteRepeatL1Hit accounts an L1 hit served from a caller-held memo of the
-// immediately-preceding successful lookup on this hierarchy. It performs
-// exactly the statistics updates a Lookup L1 hit would. The LRU touch is
-// deliberately skipped: the memoized entry was the hierarchy's most recent
-// lookup or insert, so it is already most-recent in its set, and per-array
-// clocks only order entries relative to one another — skipping uniform
-// clock advances cannot change any future victim choice.
+// NoteRepeatL1Hit accounts an L1 hit on the line of the hierarchy's most
+// recent lookup hit or insert, without probing: a caller-held memo of the
+// preceding successful lookup (the L0 memo), or the Result of an Insert
+// that reported an L1 fill (a walk's fill is its hit). It performs exactly
+// the statistics updates a Lookup L1 hit would. The LRU touch and the clock
+// ticks of the probe are deliberately skipped: the line is already
+// most-recent in its set, and per-array clocks only order entries relative
+// to one another — skipping uniform clock advances cannot change any future
+// victim choice.
 func (h *Hierarchy) NoteRepeatL1Hit() {
 	h.stats.Lookups++
 	h.stats.L1Hits++
@@ -241,20 +243,43 @@ func (h *Hierarchy) Lookup(asid uint16, va uint64, fetch bool) (Result, bool) {
 	return Result{}, false
 }
 
-// Insert fills the translation for va into the L1 (and L2 when present)
-// arrays for its page size, as a hardware walker does after a walk.
-func (h *Hierarchy) Insert(asid uint16, va uint64, size pagetable.Size, paBase uint64, flags pagetable.Entry, fetch bool) {
-	base := pagetable.PageBase(va, size)
-	l1 := &h.d1
+// Insert fills the translation for va, as a hardware walker does after a
+// walk: into the L1 array of the access's side and the L2 array for the
+// page size, when present. paBase is the physical base of the size-sized
+// mapping. The instruction side splinters a mapping larger than any of its
+// arrays into the largest one it has, as the real ITLB does with a 1G page
+// (Sandy Bridge has no 1G ITLB array); the L2 line then has that size too.
+//
+// When an L1 array took the line, Insert returns true and the Result a
+// Lookup of va would now return: an L1 hit on that line. That is exact
+// when the caller's last Lookup of va on this side missed, as the walk it
+// triggered touches no TLB array: every array probed before the filled one
+// still misses, and the new line is the only match in its array.
+// NoteRepeatL1Hit then accounts the hit without the probe.
+func (h *Hierarchy) Insert(asid uint16, va uint64, size pagetable.Size, paBase uint64, flags pagetable.Entry, fetch bool) (Result, bool) {
+	l1, fill := &h.d1, size
 	if fetch {
 		l1 = &h.i1
+		for fill > pagetable.Size4K && l1[fill] == nil {
+			fill--
+		}
+		if l1[fill] == nil {
+			fill = size // no array small enough: L2 only, at the mapping's size
+		}
+		paBase |= va & size.Mask() &^ fill.Mask()
 	}
-	if c := l1[size]; c != nil {
+	base := pagetable.PageBase(va, fill)
+	c := l1[fill]
+	if c != nil {
 		c.insert(asid, base, paBase, flags)
 	}
-	if c := h.l2[size]; c != nil {
-		c.insert(asid, base, paBase, flags)
+	if l2 := h.l2[fill]; l2 != nil {
+		l2.insert(asid, base, paBase, flags)
 	}
+	if c == nil {
+		return Result{}, false
+	}
+	return Result{PA: paBase | va&fill.Mask(), Size: fill, Flags: flags, Level: 1}, true
 }
 
 // InvalidatePage drops translations covering va for asid in every array

@@ -30,6 +30,9 @@ type setAssoc struct {
 	ways  int
 	lines []line // sets*ways, row-major by set
 	clock uint64
+	// nvalid counts the valid lines. A lookup on an array with none
+	// returns a miss without ticking the clock (see lookup).
+	nvalid int
 
 	// Hot-path indexing state, precomputed at construction: page sizes are
 	// powers of two, so the VPN is a shift; set counts usually are too, so
@@ -85,8 +88,13 @@ func (c *setAssoc) set(vpn uint64) []line {
 }
 
 // lookup probes the cache. On hit it refreshes LRU state and returns the
-// cached entry.
+// cached entry. An empty array is not probed and its clock does not tick.
+// That is exact: the clock only orders lines that are valid at the same
+// time, and every touch of a line (insert or hit) still ticks it.
 func (c *setAssoc) lookup(asid uint16, va uint64) (paBase uint64, flags pagetable.Entry, ok bool) {
+	if c.nvalid == 0 {
+		return 0, 0, false
+	}
 	c.clock++
 	vpn := c.vpn(va)
 	set := c.set(vpn)
@@ -120,25 +128,31 @@ func (c *setAssoc) insert(asid uint16, va, paBase uint64, flags pagetable.Entry)
 			victim = i
 		}
 	}
-	set[victim] = line{
-		valid:   true,
-		asid:    asid,
-		global:  flags&pagetable.FlagGlobal != 0,
-		vpn:     vpn,
-		paBase:  paBase,
-		flags:   flags,
-		lastUse: c.clock,
+	l := &set[victim]
+	if !l.valid {
+		c.nvalid++
 	}
+	l.valid = true
+	l.asid = asid
+	l.global = flags&pagetable.FlagGlobal != 0
+	l.vpn = vpn
+	l.paBase = paBase
+	l.flags = flags
+	l.lastUse = c.clock
 }
 
 // invalidate drops any entry covering va in the given address space.
 func (c *setAssoc) invalidate(asid uint16, va uint64) {
+	if c.nvalid == 0 {
+		return
+	}
 	vpn := c.vpn(va)
 	set := c.set(vpn)
 	for i := range set {
 		l := &set[i]
 		if l.valid && l.vpn == vpn && (l.global || l.asid == asid) {
 			l.valid = false
+			c.nvalid--
 		}
 	}
 }
@@ -146,6 +160,9 @@ func (c *setAssoc) invalidate(asid uint16, va uint64) {
 // flush drops entries. If keepGlobal, global entries survive (a CR3 write
 // without PGE flush); if asid != flushAllASIDs only that space is dropped.
 func (c *setAssoc) flush(asid uint16, all bool, keepGlobal bool) {
+	if c.nvalid == 0 {
+		return
+	}
 	for i := range c.lines {
 		l := &c.lines[i]
 		if !l.valid {
@@ -158,6 +175,7 @@ func (c *setAssoc) flush(asid uint16, all bool, keepGlobal bool) {
 			continue
 		}
 		l.valid = false
+		c.nvalid--
 	}
 }
 
@@ -168,18 +186,8 @@ func (c *setAssoc) flush(asid uint16, all bool, keepGlobal bool) {
 func (c *setAssoc) reset() {
 	clear(c.lines)
 	c.clock = 0
+	c.nvalid = 0
 }
-
-// entries reports the cache capacity.
-func (c *setAssoc) entries() int { return c.sets * c.ways }
 
 // occupancy reports the number of valid lines.
-func (c *setAssoc) occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *setAssoc) occupancy() int { return c.nvalid }

@@ -3,6 +3,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"agilepaging/internal/memsim"
 	"agilepaging/internal/pagetable"
@@ -88,6 +89,15 @@ type VM struct {
 	gpaLimit uint64
 	gpaFree  []uint64
 
+	// frames maps a guest frame number to the host frame backing it, the
+	// role KVM's memslots play, so the software reads of guest page tables
+	// (guestPhysSpace.FrameFor) do not re-walk the host table. 0 means not
+	// recorded: host frame 0 is the nil frame. Every host-leaf change
+	// updates it (back, DedupPages, DedupAcrossVMs, resolveHostCOW), and
+	// it covers guest frames below gpaLimit only, growing by doubling: 4
+	// bytes per guest page up to the highest backed one.
+	frames []uint32
+
 	ctxs    map[uint16]*Context // by ASID
 	current *Context
 
@@ -147,6 +157,8 @@ func (vm *VM) Reset(cfg Config) error {
 	vm.gpaNext = gpaBase
 	vm.gpaLimit = gpaBase + cfg.RAMBytes
 	vm.gpaFree = vm.gpaFree[:0]
+	clear(vm.frames)
+	vm.frames = vm.frames[:0]
 	clear(vm.ctxs)
 	vm.current = nil
 	vm.ctxCache = vm.ctxCache[:0]
@@ -236,8 +248,44 @@ func (vm *VM) back(gpa uint64, size pagetable.Size) error {
 		if err := vm.hpt.Map(base, f.Addr(), hps, pagetable.FlagWrite); err != nil {
 			return err
 		}
+		vm.setFrames(base, f, uint64(n))
 	}
 	return nil
+}
+
+// setFrames records in the frame table that the n guest pages from gpa
+// are backed by the n host frames from f.
+func (vm *VM) setFrames(gpa uint64, f memsim.Frame, n uint64) {
+	g, limit := gpa>>memsim.FrameShift, vm.gpaLimit>>memsim.FrameShift
+	end := min(g+n, limit)
+	if end <= g {
+		return
+	}
+	if last := uint64(f) + (end - g) - 1; last > math.MaxUint32 {
+		panic(fmt.Sprintf("vmm: host frame %#x does not fit the frame table", last))
+	}
+	if end > uint64(len(vm.frames)) {
+		if end > uint64(cap(vm.frames)) {
+			grown := make([]uint32, end, min(max(end, 2*uint64(cap(vm.frames))), limit))
+			copy(grown, vm.frames)
+			vm.frames = grown
+		}
+		// Slots past the length are zero: Reset clears before truncating.
+		vm.frames = vm.frames[:end]
+	}
+	for i := g; i < end; i++ {
+		vm.frames[i] = uint32(uint64(f) + (i - g))
+	}
+}
+
+// frameOf returns the host frame backing the guest page at gpa, or false
+// if the frame table does not record the page.
+func (vm *VM) frameOf(gpa uint64) (memsim.Frame, bool) {
+	if g := gpa >> memsim.FrameShift; g < uint64(len(vm.frames)) {
+		f := vm.frames[g]
+		return memsim.Frame(f), f != 0
+	}
+	return 0, false
 }
 
 // TranslateGPA software-walks the host page table.
@@ -318,6 +366,7 @@ func (vm *VM) DedupPages(gpaA, gpaB uint64) error {
 	if err := vm.hpt.Remap(baseB, ra.Entry.Addr(), pagetable.Size4K, 0); err != nil {
 		return err
 	}
+	vm.setFrames(baseB, memsim.FrameOf(ra.Entry.Addr()), 1)
 	if err := vm.hpt.ClearFlags(baseA, pagetable.FlagWrite); err != nil {
 		return err
 	}
@@ -365,6 +414,7 @@ func DedupAcrossVMs(vmA *VM, gpaA uint64, vmB *VM, gpaB uint64) error {
 	if err := vmB.hpt.Remap(baseB, ra.Entry.Addr(), pagetable.Size4K, 0); err != nil {
 		return err
 	}
+	vmB.setFrames(baseB, memsim.FrameOf(ra.Entry.Addr()), 1)
 	if err := vmA.hpt.ClearFlags(baseA, pagetable.FlagWrite); err != nil {
 		return err
 	}
@@ -401,6 +451,7 @@ func (vm *VM) resolveHostCOW(gpa uint64) error {
 	if err := vm.hpt.Remap(base, f.Addr(), pagetable.Size4K, pagetable.FlagWrite); err != nil {
 		return err
 	}
+	vm.setFrames(base, f, 1)
 	vm.mmu.NTLBInvalidateGPA(vm.id, base)
 	for _, ctx := range vm.ctxs {
 		ctx.hostPageChanged(base)
@@ -475,14 +526,15 @@ func (vm *VM) ctxCacheInsert(gptRoot uint64) {
 // so guest page tables can be built in guest RAM.
 type guestPhysSpace struct{ vm *VM }
 
-// FrameFor implements pagetable.Space.
+// FrameFor implements pagetable.Space. It reads the VM's frame table, so
+// the guest OS's and the VMM's reads of guest page tables cost no host-table
+// walk; the hardware walker still walks the host table and is charged for
+// it. The table records every guest table page: those come only from
+// AllocGPA, whose back records them, dedup refuses them, and host COW
+// records its new frame.
 func (g guestPhysSpace) FrameFor(pa uint64) (memsim.Frame, bool) {
-	hpa, _, err := g.vm.TranslateGPA(pa)
-	if err != nil {
-		return 0, false
-	}
-	f := memsim.FrameOf(hpa)
-	if !g.vm.mem.IsTable(f) {
+	f, ok := g.vm.frameOf(pa)
+	if !ok || !g.vm.mem.IsTable(f) {
 		return 0, false
 	}
 	return f, true

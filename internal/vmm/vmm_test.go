@@ -131,7 +131,7 @@ func TestShadowFillAndWalk(t *testing.T) {
 	}
 	// No shadow state yet: hardware walk faults, VMM fills.
 	w := walker.New(memOf(vm), nil, nil)
-	_, f := w.Walk(ctx.Regs(), gva, false)
+	f := w.Walk(ctx.Regs(), gva, false, new(walker.Result))
 	if f == nil || f.Kind != walker.FaultNotPresent {
 		t.Fatalf("expected shadow not-present fault, got %v", f)
 	}
@@ -139,8 +139,8 @@ func TestShadowFillAndWalk(t *testing.T) {
 	if err != nil || out != OutcomeRetry {
 		t.Fatalf("HandleShadowFault = %v, %v", out, err)
 	}
-	r, f := w.Walk(ctx.Regs(), gva|0x123, false)
-	if f != nil {
+	var r walker.Result
+	if f := w.Walk(ctx.Regs(), gva|0x123, false, &r); f != nil {
 		t.Fatalf("walk after fill: %v", f)
 	}
 	hpa, _, _ := vm.TranslateGPA(gpa)
@@ -456,8 +456,8 @@ func TestAgilePlantAndClearSwitch(t *testing.T) {
 	}
 	// Hardware walk now switches at the leaf: 8 references (Table II).
 	w := walker.New(memOf(vm), nil, nil)
-	r, f := w.Walk(ctx.Regs(), gva, false)
-	if f != nil {
+	var r walker.Result
+	if f := w.Walk(ctx.Regs(), gva, false, &r); f != nil {
 		t.Fatalf("agile walk: %v", f)
 	}
 	if r.Refs != 8 || r.NestedLevels != 1 {
@@ -482,14 +482,13 @@ func TestAgilePlantAndClearSwitch(t *testing.T) {
 		t.Error("node not re-protected after ClearSwitch")
 	}
 	// Walk faults (switch entry removed), refill in shadow, then 4 refs.
-	if _, f := w.Walk(ctx.Regs(), gva, false); f == nil {
+	if f := w.Walk(ctx.Regs(), gva, false, new(walker.Result)); f == nil {
 		t.Fatal("expected fault after ClearSwitch")
 	}
 	if _, err := ctx.HandleShadowFault(gva, false); err != nil {
 		t.Fatal(err)
 	}
-	r, f = w.Walk(ctx.Regs(), gva, false)
-	if f != nil {
+	if f := w.Walk(ctx.Regs(), gva, false, &r); f != nil {
 		t.Fatal(f)
 	}
 	if r.Refs != 4 || r.NestedLevels != 0 {
@@ -512,8 +511,8 @@ func TestAgileRootSwitch(t *testing.T) {
 		t.Fatal("root switch not set")
 	}
 	w := walker.New(memOf(vm), nil, nil)
-	r, f := w.Walk(ctx.Regs(), gva, false)
-	if f != nil {
+	var r walker.Result
+	if f := w.Walk(ctx.Regs(), gva, false, &r); f != nil {
 		t.Fatalf("root-switch walk: %v", f)
 	}
 	if r.Refs != 20 || r.NestedLevels != 4 || r.GptrTranslated {
@@ -651,8 +650,8 @@ func TestShadowFill2MGuestOn2MHost(t *testing.T) {
 	}
 	// A 2M shadow walk takes 3 references.
 	w := walker.New(mem, nil, nil)
-	r, f := w.Walk(ctx.Regs(), gva+0x123, false)
-	if f != nil {
+	var r walker.Result
+	if f := w.Walk(ctx.Regs(), gva+0x123, false, &r); f != nil {
 		t.Fatal(f)
 	}
 	if r.Refs != 3 {

@@ -27,11 +27,9 @@ func BenchmarkWalk4K(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, f := w.Walk(regs, 0x7f00_0000_1234, false)
-		if f != nil {
+		if f := w.Walk(regs, 0x7f00_0000_1234, false, &benchResult); f != nil {
 			b.Fatal(f)
 		}
-		benchResult = r
 	}
 }
 
@@ -51,11 +49,9 @@ func BenchmarkWalk2M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, f := w.Walk(regs, 0x4020_0000+0x12345, false)
-		if f != nil {
+		if f := w.Walk(regs, 0x4020_0000+0x12345, false, &benchResult); f != nil {
 			b.Fatal(f)
 		}
-		benchResult = r
 	}
 }
 
@@ -70,11 +66,9 @@ func BenchmarkWalkNested(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, f := w.Walk(regs, gva|0x42, false)
-		if f != nil {
+		if f := w.Walk(regs, gva|0x42, false, &benchResult); f != nil {
 			b.Fatal(f)
 		}
-		benchResult = r
 	}
 }
 
@@ -91,11 +85,9 @@ func BenchmarkWalkAgile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, f := w.Walk(regs, gva|0x99, false)
-		if f != nil {
+		if f := w.Walk(regs, gva|0x99, false, &benchResult); f != nil {
 			b.Fatal(f)
 		}
-		benchResult = r
 	}
 }
 
@@ -108,17 +100,15 @@ func BenchmarkWalkPWCHit(b *testing.B) {
 	v.shadowFill(gva, hpa, pagetable.Size4K)
 	w := New(v.mem, ptwc.New(ptwc.DefaultConfig()), nil)
 	regs := v.regs(ModeShadow)
-	if _, f := w.Walk(regs, gva, false); f != nil {
+	if f := w.Walk(regs, gva, false, new(Result)); f != nil {
 		b.Fatal(f)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, f := w.Walk(regs, gva, false)
-		if f != nil {
+		if f := w.Walk(regs, gva, false, &benchResult); f != nil {
 			b.Fatal(f)
 		}
-		benchResult = r
 	}
 }
 
@@ -133,15 +123,13 @@ func TestWalkPWCHitZeroAllocs(t *testing.T) {
 	v.shadowFill(gva, hpa, pagetable.Size4K)
 	w := New(v.mem, ptwc.New(ptwc.DefaultConfig()), nil)
 	regs := v.regs(ModeShadow)
-	if _, f := w.Walk(regs, gva, false); f != nil {
+	if f := w.Walk(regs, gva, false, new(Result)); f != nil {
 		t.Fatal(f)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		r, f := w.Walk(regs, gva, false)
-		if f != nil {
+		if f := w.Walk(regs, gva, false, &benchResult); f != nil {
 			t.Fatal(f)
 		}
-		benchResult = r
 	})
 	if allocs != 0 {
 		t.Errorf("PWC-hit walk allocates %.1f objects/op, want 0", allocs)
@@ -159,14 +147,50 @@ func TestWalkColdZeroAllocs(t *testing.T) {
 	for _, mode := range []Mode{ModeShadow, ModeNested, ModeAgile} {
 		regs := v.regs(mode)
 		allocs := testing.AllocsPerRun(200, func() {
-			r, f := w.Walk(regs, gva, false)
-			if f != nil {
+			if f := w.Walk(regs, gva, false, &benchResult); f != nil {
 				t.Fatal(f)
 			}
-			benchResult = r
 		})
 		if allocs != 0 {
 			t.Errorf("%v walk allocates %.1f objects/op, want 0", mode, allocs)
+		}
+	}
+}
+
+// TestWalkFaultZeroAllocs extends the guard to faulting walks: the fault
+// is returned from walker scratch, so a not-present walk in any mode, and
+// a host fault, allocate nothing.
+func TestWalkFaultZeroAllocs(t *testing.T) {
+	v := newVM(t)
+	hole := uint64(0x9000)
+	if err := v.gpt.Map(hole, 0x7777_7000, pagetable.Size4K, pagetable.FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	w := New(v.mem, nil, nil)
+	cases := []struct {
+		name string
+		regs Regs
+		va   uint64
+		want FaultKind
+	}{
+		{"native", Regs{Mode: ModeNative, Root: v.spt.Root(), ASID: 1}, 0xdead_0000, FaultNotPresent},
+		{"shadow", v.regs(ModeShadow), 0xdead_0000, FaultNotPresent},
+		{"nested", v.regs(ModeNested), 0xdead_0000, FaultGuest},
+		{"agile", v.regs(ModeAgile), 0xdead_0000, FaultNotPresent},
+		{"nested host hole", v.regs(ModeNested), hole, FaultHost},
+	}
+	for _, c := range cases {
+		var kind FaultKind = -1
+		allocs := testing.AllocsPerRun(200, func() {
+			if f := w.Walk(c.regs, c.va, true, &benchResult); f != nil {
+				kind = f.Kind
+			}
+		})
+		if kind != c.want {
+			t.Fatalf("%s walk of %#x: fault kind %v, want %v", c.name, c.va, kind, c.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s faulting walk allocates %.1f objects/op, want 0", c.name, allocs)
 		}
 	}
 }

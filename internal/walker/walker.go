@@ -124,7 +124,10 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
-// Fault describes a page fault encountered during a walk.
+// Fault describes a page fault encountered during a walk. Walk returns it
+// by pointer into the walker's scratch state, so a fault allocates
+// nothing; it stays valid until the next Walk on the same Walker (copy it
+// to keep it longer).
 type Fault struct {
 	Kind     FaultKind
 	VA       uint64 // faulting virtual (or guest-virtual) address
@@ -173,7 +176,8 @@ type Regs struct {
 	VMID uint16
 }
 
-// Result describes a completed walk.
+// Result describes a completed walk. Walk fills a caller-owned Result in
+// place; a successful walk writes every field.
 type Result struct {
 	HPA   uint64          // translated host-physical address of va
 	Size  pagetable.Size  // page size of the final mapping
@@ -231,7 +235,8 @@ type Walker struct {
 	stats  Stats
 	// scratch is reused across walks so the per-access hot path performs no
 	// heap allocation; walks on one Walker never overlap. Its accesses
-	// buffer only grows while recording is enabled.
+	// buffer only grows while recording is enabled, and its fault is the
+	// one the last faulting walk returned.
 	scratch walkState
 }
 
@@ -256,9 +261,7 @@ func (w *Walker) ResetStats() { w.stats = Stats{} }
 func (w *Walker) Reset() {
 	w.stats = Stats{}
 	w.record = false
-	w.scratch.refs = 0
-	w.scratch.hostRefs = 0
-	w.scratch.accesses = w.scratch.accesses[:0]
+	w.scratch = walkState{accesses: w.scratch.accesses[:0]}
 }
 
 // PWC returns the walker's page walk cache (may be nil).
@@ -293,11 +296,16 @@ type walkState struct {
 	refs     int
 	hostRefs int
 	accesses []Access
+	fault    Fault
 }
 
-func (w *Walker) finish(st *walkState, r Result) Result {
+// finish completes a successful walk whose translation fields the caller
+// has written into r: it writes the reference counts and trace and
+// accounts the walk.
+func (w *Walker) finish(st *walkState, r *Result) {
 	r.Refs = st.refs
 	r.HostRefs = st.hostRefs
+	r.Accesses = nil
 	if w.record {
 		// The scratch buffer is clobbered by the next walk; hand the
 		// caller its own copy. Recording is off on the measurement path.
@@ -313,12 +321,11 @@ func (w *Walker) finish(st *walkState, r Result) Result {
 		w.stats.ByNestedLevels[r.NestedLevels]++
 		w.stats.RefsByNestedLevels[r.NestedLevels] += uint64(st.refs)
 	}
-	return r
 }
 
-func (w *Walker) fault(st *walkState, f *Fault) *Fault {
-	f.Refs = st.refs
-	f.HostRefs = st.hostRefs
-	w.stats.Faults[f.Kind]++
-	return f
+// fault records a faulting walk in the scratch fault and returns it.
+func (w *Walker) fault(st *walkState, kind FaultKind, va uint64, level int, gpa uint64, write bool) *Fault {
+	st.fault = Fault{Kind: kind, VA: va, Level: level, GPA: gpa, Write: write, Refs: st.refs, HostRefs: st.hostRefs}
+	w.stats.Faults[kind]++
+	return &st.fault
 }

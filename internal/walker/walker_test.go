@@ -3,6 +3,7 @@ package walker
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"agilepaging/internal/memsim"
@@ -167,8 +168,8 @@ func TestNativeWalkRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := New(mem, nil, nil)
-	r, f := w.Walk(Regs{Mode: ModeNative, Root: pt.Root(), ASID: 1}, 0x7f00_0000_1234, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(Regs{Mode: ModeNative, Root: pt.Root(), ASID: 1}, 0x7f00_0000_1234, false, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 4 {
@@ -189,8 +190,8 @@ func TestNativeWalk2M(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := New(mem, nil, nil)
-	r, f := w.Walk(Regs{Mode: ModeNative, Root: pt.Root()}, 0x4020_0000+0x12345, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(Regs{Mode: ModeNative, Root: pt.Root()}, 0x4020_0000+0x12345, false, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 3 {
@@ -206,8 +207,8 @@ func TestNestedWalk24Refs(t *testing.T) {
 	gva := uint64(0x7f00_0000_0000)
 	_, hpa := v.mapGuest(gva, pagetable.Size4K)
 	w := New(v.mem, nil, nil)
-	r, f := w.Walk(v.regs(ModeNested), gva|0x42, true)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeNested), gva|0x42, true, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 24 {
@@ -234,7 +235,7 @@ func TestNestedWalkReadDoesNotSetDirty(t *testing.T) {
 	gva := uint64(0x1000)
 	v.mapGuest(gva, pagetable.Size4K)
 	w := New(v.mem, nil, nil)
-	if _, f := w.Walk(v.regs(ModeNested), gva, false); f != nil {
+	if f := w.Walk(v.regs(ModeNested), gva, false, new(Result)); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	gr, _ := v.gpt.Lookup(gva)
@@ -249,8 +250,8 @@ func TestShadowWalkRefs(t *testing.T) {
 	_, hpa := v.mapGuest(gva, pagetable.Size4K)
 	v.shadowFill(gva, hpa, pagetable.Size4K)
 	w := New(v.mem, nil, nil)
-	r, f := w.Walk(v.regs(ModeShadow), gva|0x7, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeShadow), gva|0x7, false, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 4 {
@@ -272,8 +273,8 @@ func TestAgileWalkDegreesOfNesting(t *testing.T) {
 		_, hpa := v.mapGuest(gva, pagetable.Size4K)
 		v.plantSwitch(gva, d)
 		w := New(v.mem, nil, nil)
-		r, f := w.Walk(v.regs(ModeAgile), gva|0x99, false)
-		if f != nil {
+		var r Result
+		if f := w.Walk(v.regs(ModeAgile), gva|0x99, false, &r); f != nil {
 			t.Fatalf("d=%d fault: %v", d, f)
 		}
 		if r.Refs != wantRefs[d] {
@@ -295,8 +296,8 @@ func TestAgileWalkDegreesOfNesting(t *testing.T) {
 	regs.RootSwitch = true
 	regs.Root = v.guestTableHPA(gva, 0)
 	w := New(v.mem, nil, nil)
-	r, f := w.Walk(regs, gva, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(regs, gva, false, &r); f != nil {
 		t.Fatalf("d=4 fault: %v", f)
 	}
 	if r.Refs != 20 || r.NestedLevels != 4 || r.GptrTranslated {
@@ -309,8 +310,7 @@ func TestAgileWalkDegreesOfNesting(t *testing.T) {
 	// Full nested through the agile state machine (sptr==gptr in Fig. 4).
 	regs = v.regs(ModeAgile)
 	regs.FullNested = true
-	r, f = w.Walk(regs, gva, false)
-	if f != nil {
+	if f := w.Walk(regs, gva, false, &r); f != nil {
 		t.Fatalf("full-nested fault: %v", f)
 	}
 	if r.Refs != 24 || !r.GptrTranslated {
@@ -324,12 +324,54 @@ func TestAgileFullShadow(t *testing.T) {
 	_, hpa := v.mapGuest(gva, pagetable.Size4K)
 	v.shadowFill(gva, hpa, pagetable.Size4K)
 	w := New(v.mem, nil, nil)
-	r, f := w.Walk(v.regs(ModeAgile), gva, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeAgile), gva, false, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 4 || r.NestedLevels != 0 || !r.LeafShadow {
 		t.Errorf("full-shadow agile walk: %+v", r)
+	}
+}
+
+// TestWalkOverwritesResult: Walk fills a caller-owned Result that callers
+// reuse across walks, so a successful walk must write every field, a
+// stale recorded trace included, and a faulting walk must leave the
+// Result alone.
+func TestWalkOverwritesResult(t *testing.T) {
+	v := newVM(t)
+	gva := uint64(0x7f12_3456_7000)
+	_, hpa := v.mapGuest(gva, pagetable.Size4K)
+	v.shadowFill(gva, hpa, pagetable.Size4K)
+	w := New(v.mem, nil, nil)
+	stale := Result{HPA: 1, Size: pagetable.Size1G, Flags: pagetable.FlagDirty, GPA: 2, Refs: 3, HostRefs: 4,
+		NestedLevels: 3, GptrTranslated: true, LeafShadow: true, Accesses: []Access{{Addr: 5}}}
+	for _, mode := range []Mode{ModeNative, ModeShadow, ModeNested, ModeAgile} {
+		regs := v.regs(mode)
+		if mode == ModeNative {
+			regs.Root = v.spt.Root()
+		}
+		// The first walk may set accessed bits that later walks read back.
+		var want Result
+		for range 2 {
+			want = Result{}
+			if f := w.Walk(regs, gva, false, &want); f != nil {
+				t.Fatalf("%v: %v", mode, f)
+			}
+		}
+		got := stale
+		if f := w.Walk(regs, gva, false, &got); f != nil {
+			t.Fatalf("%v: %v", mode, f)
+		}
+		if got.Accesses != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%v walk into a used Result = %+v, want %+v", mode, got, want)
+		}
+		got = stale
+		if f := w.Walk(regs, 0xdead_0000, false, &got); f == nil {
+			t.Fatalf("%v walk of an unmapped address did not fault", mode)
+		}
+		if !reflect.DeepEqual(got, stale) {
+			t.Errorf("%v faulting walk wrote its Result: %+v", mode, got)
+		}
 	}
 }
 
@@ -338,7 +380,7 @@ func TestWalkFaults(t *testing.T) {
 	w := New(v.mem, nil, nil)
 
 	// Unmapped gVA under shadow: not-present fault at the root.
-	_, f := w.Walk(v.regs(ModeShadow), 0xdead_0000, false)
+	f := w.Walk(v.regs(ModeShadow), 0xdead_0000, false, new(Result))
 	if f == nil || f.Kind != FaultNotPresent || f.Level != 0 {
 		t.Errorf("shadow fault = %+v", f)
 	}
@@ -348,17 +390,17 @@ func TestWalkFaults(t *testing.T) {
 
 	// A faulting store reports the write under the 1D walks too (the sPT
 	// doubles as a native table: both hold host-physical pointers).
-	_, f = w.Walk(v.regs(ModeShadow), 0xdead_0000, true)
+	f = w.Walk(v.regs(ModeShadow), 0xdead_0000, true, new(Result))
 	if f == nil || f.Kind != FaultNotPresent || !f.Write {
 		t.Errorf("shadow store fault = %+v, want a not-present write", f)
 	}
-	_, f = w.Walk(Regs{Mode: ModeNative, Root: v.spt.Root(), ASID: 1}, 0xdead_0000, true)
+	f = w.Walk(Regs{Mode: ModeNative, Root: v.spt.Root(), ASID: 1}, 0xdead_0000, true, new(Result))
 	if f == nil || f.Kind != FaultNotPresent || !f.Write {
 		t.Errorf("native store fault = %+v, want a not-present write", f)
 	}
 
 	// Unmapped gVA under nested: guest fault after gptr translation.
-	_, f = w.Walk(v.regs(ModeNested), 0xdead_0000, false)
+	f = w.Walk(v.regs(ModeNested), 0xdead_0000, false, new(Result))
 	if f == nil || f.Kind != FaultGuest || f.Level != 0 {
 		t.Errorf("nested fault = %+v", f)
 	}
@@ -372,7 +414,7 @@ func TestWalkFaults(t *testing.T) {
 	if err := v.gpt.Map(gva, gpa, pagetable.Size4K, pagetable.FlagWrite); err != nil {
 		t.Fatal(err)
 	}
-	_, f = w.Walk(v.regs(ModeNested), gva, true)
+	f = w.Walk(v.regs(ModeNested), gva, true, new(Result))
 	if f == nil || f.Kind != FaultHost || f.GPA != gpa {
 		t.Errorf("host fault = %+v", f)
 	}
@@ -387,15 +429,15 @@ func TestPWCAcceleratesWalks(t *testing.T) {
 	_, hpa := v.mapGuest(gva, pagetable.Size4K)
 	v.shadowFill(gva, hpa, pagetable.Size4K)
 	w := New(v.mem, ptwc.New(ptwc.DefaultConfig()), nil)
-	r1, f := w.Walk(v.regs(ModeShadow), gva, false)
-	if f != nil {
+	var r1 Result
+	if f := w.Walk(v.regs(ModeShadow), gva, false, &r1); f != nil {
 		t.Fatal(f)
 	}
 	if r1.Refs != 4 {
 		t.Fatalf("cold shadow refs = %d", r1.Refs)
 	}
-	r2, f := w.Walk(v.regs(ModeShadow), gva, false)
-	if f != nil {
+	var r2 Result
+	if f := w.Walk(v.regs(ModeShadow), gva, false, &r2); f != nil {
 		t.Fatal(f)
 	}
 	if r2.Refs != 1 {
@@ -408,8 +450,8 @@ func TestNTLBAcceleratesNestedWalks(t *testing.T) {
 	gva := uint64(0x7f00_0000_1000)
 	v.mapGuest(gva, pagetable.Size4K)
 	w := New(v.mem, ptwc.New(ptwc.DefaultConfig()), ptwc.NewNestedTLB(64, 4))
-	r1, f := w.Walk(v.regs(ModeNested), gva, false)
-	if f != nil {
+	var r1 Result
+	if f := w.Walk(v.regs(ModeNested), gva, false, &r1); f != nil {
 		t.Fatal(f)
 	}
 	if r1.Refs != 24 {
@@ -417,8 +459,8 @@ func TestNTLBAcceleratesNestedWalks(t *testing.T) {
 	}
 	// Warm: PWC resumes at the guest leaf table and the leaf gPA hits the
 	// nested TLB: 1 reference.
-	r2, f := w.Walk(v.regs(ModeNested), gva, false)
-	if f != nil {
+	var r2 Result
+	if f := w.Walk(v.regs(ModeNested), gva, false, &r2); f != nil {
 		t.Fatal(f)
 	}
 	if r2.Refs != 1 {
@@ -428,8 +470,8 @@ func TestNTLBAcceleratesNestedWalks(t *testing.T) {
 	// must host-translate its own leaf gPA: 1 + 4 refs.
 	gva2 := gva + 0x1000
 	v.mapGuest(gva2, pagetable.Size4K)
-	r3, f := w.Walk(v.regs(ModeNested), gva2, false)
-	if f != nil {
+	var r3 Result
+	if f := w.Walk(v.regs(ModeNested), gva2, false, &r3); f != nil {
 		t.Fatal(f)
 	}
 	if r3.Refs != 5 {
@@ -443,15 +485,15 @@ func TestAgilePWCResumesInCorrectMode(t *testing.T) {
 	v.mapGuest(gva, pagetable.Size4K)
 	v.plantSwitch(gva, 1) // leaf level nested
 	w := New(v.mem, ptwc.New(ptwc.DefaultConfig()), ptwc.NewNestedTLB(64, 4))
-	r1, f := w.Walk(v.regs(ModeAgile), gva, false)
-	if f != nil {
+	var r1 Result
+	if f := w.Walk(v.regs(ModeAgile), gva, false, &r1); f != nil {
 		t.Fatal(f)
 	}
 	if r1.Refs != 8 {
 		t.Fatalf("cold agile refs = %d, want 8", r1.Refs)
 	}
-	r2, f := w.Walk(v.regs(ModeAgile), gva, false)
-	if f != nil {
+	var r2 Result
+	if f := w.Walk(v.regs(ModeAgile), gva, false, &r2); f != nil {
 		t.Fatal(f)
 	}
 	// PWC hit at the guest leaf table (nested bit set) + NTLB hit for the
@@ -526,8 +568,8 @@ func TestPWCResumeRule(t *testing.T) {
 					pwc.Insert(regs.ASID, gva, 3, v.guestTableHPA(gva, 3), true)
 					exp = row.lineNested
 				}
-				r, f := w.Walk(regs, gva|0x42, false)
-				if f != nil {
+				var r Result
+				if f := w.Walk(regs, gva|0x42, false, &r); f != nil {
 					t.Fatalf("fault: %v", f)
 				}
 				got := want{r.Refs, r.NestedLevels, r.GptrTranslated, r.LeafShadow}
@@ -547,8 +589,8 @@ func TestNestedWalk2MGuestAndHost(t *testing.T) {
 	gva := uint64(0x4000_0000)
 	_, hpa := v.mapGuest(gva, pagetable.Size2M)
 	w := New(v.mem, nil, nil)
-	r, f := w.Walk(v.regs(ModeNested), gva|0x12345, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeNested), gva|0x12345, false, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	// gptr: 4 host refs (guest root is a 4K page in hPT); guest levels
@@ -569,8 +611,8 @@ func TestRecordingNestedTrace(t *testing.T) {
 	v.mapGuest(gva, pagetable.Size4K)
 	w := New(v.mem, nil, nil)
 	w.SetRecording(true)
-	r, f := w.Walk(v.regs(ModeNested), gva, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeNested), gva, false, &r); f != nil {
 		t.Fatal(f)
 	}
 	if len(r.Accesses) != 24 {
@@ -603,8 +645,8 @@ func TestRecordingAgileTrace(t *testing.T) {
 	v.plantSwitch(gva, 1)
 	w := New(v.mem, nil, nil)
 	w.SetRecording(true)
-	r, f := w.Walk(v.regs(ModeAgile), gva, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeAgile), gva, false, &r); f != nil {
 		t.Fatal(f)
 	}
 	// Figure 3(b): 3 sPT refs, 1 gPT leaf ref, 4 hPT refs.
@@ -628,8 +670,8 @@ func TestHostWritabilityMergedIntoFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := New(v.mem, nil, nil)
-	r, f := w.Walk(v.regs(ModeNested), gva, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(v.regs(ModeNested), gva, false, &r); f != nil {
 		t.Fatal(f)
 	}
 	if r.Flags.Writable() {
@@ -648,9 +690,9 @@ func TestWalkerStats(t *testing.T) {
 	_, hpa := v.mapGuest(gva, pagetable.Size4K)
 	v.shadowFill(gva, hpa, pagetable.Size4K)
 	w := New(v.mem, nil, nil)
-	w.Walk(v.regs(ModeShadow), gva, false)
-	w.Walk(v.regs(ModeNested), gva, false)
-	w.Walk(v.regs(ModeShadow), 0xdead000, false) // faults
+	w.Walk(v.regs(ModeShadow), gva, false, new(Result))
+	w.Walk(v.regs(ModeNested), gva, false, new(Result))
+	w.Walk(v.regs(ModeShadow), 0xdead000, false, new(Result)) // faults
 	s := w.Stats()
 	if s.Walks != 2 {
 		t.Errorf("Walks = %d, want 2 (faulting walk not counted)", s.Walks)
@@ -695,8 +737,8 @@ func TestNativeWalk1G(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := New(mem, nil, nil)
-	r, f := w.Walk(Regs{Mode: ModeNative, Root: pt.Root()}, 0x40000000+0x1234567, true)
-	if f != nil {
+	var r Result
+	if f := w.Walk(Regs{Mode: ModeNative, Root: pt.Root()}, 0x40000000+0x1234567, true, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 2 {
@@ -719,8 +761,8 @@ func TestShadowWalk1G(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := New(mem, nil, nil)
-	r, f := w.Walk(Regs{Mode: ModeShadow, Root: spt.Root()}, 0x40000000, false)
-	if f != nil {
+	var r Result
+	if f := w.Walk(Regs{Mode: ModeShadow, Root: spt.Root()}, 0x40000000, false, &r); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	if r.Refs != 2 || r.Size != pagetable.Size1G || !r.LeafShadow {
@@ -756,8 +798,8 @@ func TestNestedWalk1GGuestAndHost(t *testing.T) {
 	}
 	w := New(mem, nil, nil)
 	regs := Regs{Mode: ModeNested, GPTRoot: gpt.Root(), HPTRoot: hpt.Root(), VMID: 1}
-	r, fault := w.Walk(regs, gva|0x7654321, false)
-	if fault != nil {
+	var r Result
+	if fault := w.Walk(regs, gva|0x7654321, false, &r); fault != nil {
 		t.Fatalf("fault: %v", fault)
 	}
 	// gptr: 4 host refs (guest root is a 4K page); guest level 0: 1 + 4;
@@ -843,8 +885,8 @@ func TestWalkMatchesSoftwareLookupProperty(t *testing.T) {
 			}
 			want := hr.PA
 			for _, mode := range []Mode{ModeNested, ModeShadow, ModeAgile} {
-				r, fault := w.Walk(v.regs(mode), gva, false)
-				if fault != nil {
+				var r Result
+				if fault := w.Walk(v.regs(mode), gva, false, &r); fault != nil {
 					t.Fatalf("%v walk(%#x) faulted: %v", mode, gva, fault)
 				}
 				if r.HPA != want {

@@ -43,15 +43,18 @@ func startOf(regs Regs) start {
 
 // Walk translates va under the technique selected by regs, charging memory
 // references as the hardware does. write marks the access a store (the
-// hardware then sets dirty bits it is responsible for). On fault the
-// partial reference count is reported in the fault.
+// hardware then sets dirty bits it is responsible for). A successful walk
+// fills every field of the caller-owned *res and returns nil. A faulting
+// walk leaves *res untouched and returns the fault, with the partial
+// reference count; the fault lives in the walker's scratch state and stays
+// valid until the next Walk on this Walker. Neither outcome allocates.
 //
 // In shadow (1D) mode each level reads the native or shadow table, whose
 // entries hold host-physical pointers. In nested mode each level reads the
 // guest table and translates the guest-physical pointer it loads through
 // the host table, so a cold nested walk of a 4K page costs up to 24
 // references (paper Figure 2b).
-func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
+func (w *Walker) Walk(regs Regs, va uint64, write bool, res *Result) *Fault {
 	st := &w.scratch
 	st.refs = 0
 	st.hostRefs = 0
@@ -67,7 +70,7 @@ func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
 	if s.gptr {
 		hpa, _, _, f := w.hostTranslate(st, regs, regs.GPTRoot)
 		if f != nil {
-			return Result{}, f
+			return f
 		}
 		ptr = hpa
 	}
@@ -85,7 +88,7 @@ func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
 			if nested {
 				kind = FaultGuest
 			}
-			return Result{}, w.fault(st, &Fault{Kind: kind, VA: va, Level: level, Write: write})
+			return w.fault(st, kind, va, level, 0, write)
 		}
 		if s.maySwitch && !nested && e.Switching() {
 			// Switch to nested mode: the entry holds the host-physical
@@ -99,7 +102,7 @@ func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
 		size, leafOK := pagetable.SizeAtLevel(level)
 		if level == pagetable.NumLevels-1 || (e.Huge() && leafOK) {
 			if nested {
-				return w.nestedLeaf(st, regs, va, write, ptr, idx, e, size, nestedLevels, s.gptr)
+				return w.nestedLeaf(st, regs, va, write, ptr, idx, e, size, nestedLevels, s.gptr, res)
 			}
 			// The hardware sets A/D bits in a native leaf. The VMM manages
 			// them for shadow entries (at fill time and through write
@@ -107,18 +110,21 @@ func (w *Walker) Walk(regs Regs, va uint64, write bool) (Result, *Fault) {
 			if table == TableNative {
 				e = w.setAD(ptr, idx, e, write)
 			}
-			return w.finish(st, Result{
-				HPA:        e.Addr() | va&size.Mask(),
-				Size:       size,
-				Flags:      e.Flags(),
-				LeafShadow: table == TableShadow,
-			}), nil
+			res.HPA = e.Addr() | va&size.Mask()
+			res.Size = size
+			res.Flags = e.Flags()
+			res.GPA = 0
+			res.NestedLevels = 0
+			res.GptrTranslated = false
+			res.LeafShadow = table == TableShadow
+			w.finish(st, res)
+			return nil
 		}
 		ptr = e.Addr()
 		if nested {
 			hpa, _, _, f := w.hostTranslate(st, regs, ptr)
 			if f != nil {
-				return Result{}, f
+				return f
 			}
 			ptr = hpa
 		}
@@ -144,7 +150,7 @@ func (w *Walker) hostTranslate(st *walkState, regs Regs, gpa uint64) (hpa uint64
 	for level := 0; level < pagetable.NumLevels; level++ {
 		e := w.readEntry(st, TableHost, level, ptr, pagetable.IndexAt(gpa, level))
 		if !e.Present() {
-			return 0, false, pagetable.Size4K, w.fault(st, &Fault{Kind: FaultHost, VA: gpa, GPA: gpa, Level: level})
+			return 0, false, pagetable.Size4K, w.fault(st, FaultHost, gpa, level, gpa, false)
 		}
 		size, leafOK := pagetable.SizeAtLevel(level)
 		if level == pagetable.NumLevels-1 || (e.Huge() && leafOK) {
@@ -180,12 +186,12 @@ func (w *Walker) setAD(tableHPA uint64, idx int, e pagetable.Entry, write bool) 
 // that end in nested mode instead use the hardware page walker ... to
 // update guest page table accessed and dirty bits") and translates the
 // final guest-physical address.
-func (w *Walker) nestedLeaf(st *walkState, regs Regs, va uint64, write bool, tableHPA uint64, idx int, e pagetable.Entry, size pagetable.Size, nestedLevels int, gptrPaid bool) (Result, *Fault) {
+func (w *Walker) nestedLeaf(st *walkState, regs Regs, va uint64, write bool, tableHPA uint64, idx int, e pagetable.Entry, size pagetable.Size, nestedLevels int, gptrPaid bool, res *Result) *Fault {
 	w.setAD(tableHPA, idx, e, write)
 	gpa := e.Addr() | va&size.Mask()
 	hpa, hostW, hostSize, f := w.hostTranslate(st, regs, gpa)
 	if f != nil {
-		return Result{}, f
+		return f
 	}
 	flags := e.Flags()
 	if !hostW {
@@ -196,12 +202,13 @@ func (w *Walker) nestedLeaf(st *walkState, regs Regs, va uint64, write bool, tab
 	if hostSize.Bytes() < size.Bytes() {
 		size = hostSize
 	}
-	return w.finish(st, Result{
-		HPA:            hpa,
-		Size:           size,
-		Flags:          flags,
-		GPA:            gpa,
-		NestedLevels:   nestedLevels,
-		GptrTranslated: gptrPaid,
-	}), nil
+	res.HPA = hpa
+	res.Size = size
+	res.Flags = flags
+	res.GPA = gpa
+	res.NestedLevels = nestedLevels
+	res.GptrTranslated = gptrPaid
+	res.LeafShadow = false
+	w.finish(st, res)
+	return nil
 }
