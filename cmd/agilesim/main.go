@@ -38,7 +38,7 @@ func main() {
 	var (
 		workloadName = flag.String("workload", "dedup", "workload name (see -list)")
 		technique    = flag.String("technique", "agile", "native | nested | shadow | agile")
-		pageSize     = flag.String("pagesize", "4K", "4K | 2M")
+		pageSize     = flag.String("pagesize", "4K", "4K | 2M | 1G")
 		accesses     = flag.Int("accesses", 120_000, "measured steady-phase accesses")
 		warmup       = flag.Int("warmup", 0, "warmup accesses (0 = accesses/2, -1 = none)")
 		seed         = flag.Int64("seed", 42, "random seed")
@@ -58,11 +58,10 @@ func main() {
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		streamCache  = flag.Int64("stream-cache", workload.DefaultStreamCacheBytes>>20, "shared workload stream cache budget in MiB (0 disables sharing, -1 unbounded)")
-		streamDir    = flag.String("stream-cache-dir", "", "persist generated workload streams in this directory and reuse them across runs")
 		reportCache  = flag.Int64("report-cache", repcache.DefaultBudgetBytes>>20, "memoized simulation report cache budget in MiB (0 disables memoization, -1 unbounded)")
-		reportDir    = flag.String("report-cache-dir", "", "persist simulation reports in this directory and reuse them across runs")
+		reportDir    = flag.String("report-cache-dir", "", "persist simulation reports in this directory; a file is reused only by the same binary")
 		machinePool  = flag.Int("machine-pool", cpu.DefaultMachinePoolCapacity, "idle simulated machines kept for reuse across runs (0 disables pooling)")
-		progress     = flag.Bool("progress", false, "print stream-cache and machine-pool statistics to stderr on exit")
+		progress     = flag.Bool("progress", false, "print machine-pool, stream-cache and report-cache statistics to stderr on exit")
 	)
 	flag.Parse()
 
@@ -78,13 +77,14 @@ func main() {
 	} else {
 		workload.SetStreamCacheBudget(*streamCache << 20)
 	}
-	workload.SetStreamCacheDir(*streamDir)
 	if *reportCache < 0 {
 		repcache.SetBudget(-1)
 	} else {
 		repcache.SetBudget(*reportCache << 20)
 	}
-	repcache.SetDir(*reportDir)
+	if err := repcache.SetDir(*reportDir); err != nil {
+		fatal(fmt.Errorf("-report-cache-dir: %w", err))
+	}
 	cpu.SetMachinePoolCapacity(*machinePool)
 	printCacheStats := func() {
 		hits, misses, retired, idle := cpu.MachinePoolStats()
@@ -92,10 +92,6 @@ func main() {
 		info := workload.StreamCacheInfo()
 		fmt.Fprintf(os.Stderr, "stream cache: %d hits, %d generated, %d streams, %.1f MiB packed\n",
 			info.Hits, info.Misses, info.Streams, float64(info.Bytes)/(1<<20))
-		if *streamDir != "" {
-			fmt.Fprintf(os.Stderr, "stream disk cache: %d loaded, %d generated, %d write errors\n",
-				info.DiskHits, info.DiskMisses, info.DiskErrors)
-		}
 		rinfo := repcache.Info()
 		fmt.Fprintf(os.Stderr, "report cache: %d hits, %d simulated, %d deduped, %d reports\n",
 			rinfo.Hits, rinfo.Misses, rinfo.Deduped, rinfo.Reports)

@@ -77,7 +77,6 @@ type options struct {
 	pageSize    string
 
 	streamCacheMB  int64
-	streamCacheDir string
 	reportCacheMB  int64
 	reportCacheDir string
 	machinePool    int
@@ -112,9 +111,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.metricsEpoch, "metrics-epoch", 2000, "telemetry sampling interval in accesses for -metrics")
 	fs.StringVar(&o.walkTrace, "walk-trace", "", "with -metrics: also write the last page walks as Chrome trace-event JSON to this file")
 	fs.Int64Var(&o.streamCacheMB, "stream-cache", workload.DefaultStreamCacheBytes>>20, "shared workload stream cache budget in MiB (0 disables sharing, -1 unbounded)")
-	fs.StringVar(&o.streamCacheDir, "stream-cache-dir", "", "persist generated workload streams in this directory and reuse them across runs")
 	fs.Int64Var(&o.reportCacheMB, "report-cache", repcache.DefaultBudgetBytes>>20, "memoized simulation report cache budget in MiB (0 disables memoization, -1 unbounded)")
-	fs.StringVar(&o.reportCacheDir, "report-cache-dir", "", "persist simulation reports in this directory and reuse them across runs")
+	fs.StringVar(&o.reportCacheDir, "report-cache-dir", "", "persist simulation reports in this directory; a file is reused only by the same binary")
 	fs.IntVar(&o.machinePool, "machine-pool", cpu.DefaultMachinePoolCapacity, "idle simulated machines kept for reuse across sweep cells (0 disables pooling)")
 	fs.StringVar(&o.runWorkload, "run", "", "run one sweep cell: this workload under -technique and -pagesize")
 	fs.StringVar(&o.technique, "technique", "agile", "technique for -run (native | nested | shadow | agile)")
@@ -211,9 +209,11 @@ func main() {
 	}
 
 	applyStreamCacheBudget(opts.streamCacheMB)
-	workload.SetStreamCacheDir(opts.streamCacheDir)
 	applyReportCacheBudget(opts.reportCacheMB)
-	repcache.SetDir(opts.reportCacheDir)
+	if err := repcache.SetDir(opts.reportCacheDir); err != nil {
+		fmt.Fprintln(os.Stderr, "paperbench: -report-cache-dir:", err)
+		os.Exit(2)
+	}
 	cpu.SetMachinePoolCapacity(opts.machinePool)
 
 	stopProfiles, err := startProfiles(opts.cpuProfile, opts.memProfile)
@@ -454,20 +454,14 @@ func main() {
 func printCacheStats(w io.Writer, opts options) {
 	hits, misses, retired, idle := cpu.MachinePoolStats()
 	fmt.Fprintf(w, "machine pool: %d reused, %d built, %d retired, %d idle\n", hits, misses, retired, idle)
-	fmt.Fprint(w, formatStreamCacheStats(workload.StreamCacheInfo(), opts.streamCacheDir != ""))
+	fmt.Fprint(w, formatStreamCacheStats(workload.StreamCacheInfo()))
 	fmt.Fprint(w, formatReportCacheStats(repcache.Info(), opts.reportCacheDir != ""))
 }
 
-// formatStreamCacheStats renders the -progress stream-cache summary line(s).
-// The disk line appears only when -stream-cache-dir was given.
-func formatStreamCacheStats(info workload.StreamCacheSnapshot, disk bool) string {
-	out := fmt.Sprintf("stream cache: %d hits, %d generated, %d streams, %.1f MiB packed\n",
+// formatStreamCacheStats renders the -progress stream-cache summary line.
+func formatStreamCacheStats(info workload.StreamCacheSnapshot) string {
+	return fmt.Sprintf("stream cache: %d hits, %d generated, %d streams, %.1f MiB packed\n",
 		info.Hits, info.Misses, info.Streams, float64(info.Bytes)/(1<<20))
-	if disk {
-		out += fmt.Sprintf("stream disk cache: %d loaded, %d generated, %d write errors\n",
-			info.DiskHits, info.DiskMisses, info.DiskErrors)
-	}
-	return out
 }
 
 // formatReportCacheStats renders the -progress report-cache summary line(s).

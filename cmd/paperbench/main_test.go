@@ -175,40 +175,11 @@ func TestParseArgsStreamCache(t *testing.T) {
 	}
 }
 
-func TestParseArgsStreamCacheDir(t *testing.T) {
-	var errBuf bytes.Buffer
-	o, err := parseArgs(nil, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.streamCacheDir != "" {
-		t.Errorf("default stream-cache-dir = %q, want disabled", o.streamCacheDir)
-	}
-	o, err = parseArgs([]string{"-all", "-stream-cache-dir", "/tmp/streams"}, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.streamCacheDir != "/tmp/streams" {
-		t.Errorf("stream-cache-dir = %q", o.streamCacheDir)
-	}
-}
-
 func TestFormatStreamCacheStats(t *testing.T) {
-	info := workload.StreamCacheSnapshot{
-		Hits: 12, Misses: 4, Streams: 4, Bytes: 3 << 20,
-		DiskHits: 2, DiskMisses: 2, DiskErrors: 1,
-	}
-	got := formatStreamCacheStats(info, false)
-	if !strings.Contains(got, "12 hits") || !strings.Contains(got, "4 generated") ||
-		!strings.Contains(got, "3.0 MiB") {
-		t.Errorf("memory line = %q", got)
-	}
-	if strings.Contains(got, "disk") {
-		t.Errorf("disk line present without -stream-cache-dir: %q", got)
-	}
-	got = formatStreamCacheStats(info, true)
-	if !strings.Contains(got, "2 loaded") || !strings.Contains(got, "1 write errors") {
-		t.Errorf("disk line = %q", got)
+	info := workload.StreamCacheSnapshot{Hits: 12, Misses: 4, Streams: 4, Bytes: 3 << 20}
+	got := formatStreamCacheStats(info)
+	if want := "stream cache: 12 hits, 4 generated, 4 streams, 3.0 MiB packed\n"; got != want {
+		t.Errorf("stream cache line = %q, want %q", got, want)
 	}
 }
 

@@ -432,44 +432,54 @@ func TestFetchClampsCoreIndex(t *testing.T) {
 	}
 }
 
-// TestFetchFromLargePageConverges: Sandy Bridge's instruction side has no
-// 1G array and neither does its L2, and at TLBScale 64 the 2M instruction
-// array scales away too. A fetch from such a page fills the largest
-// instruction array that fits, splintering the mapping as the real ITLB
-// does, so the fetch converges, its fill counts as its L1 hit, and the next
-// fetch of the page hits in L1, with the L0 memo and without it.
+// TestFetchFromLargePageConverges: a mapping larger than every L1 array of
+// its side splinters into the largest array that side has, as the real
+// ITLB does with a 1G page (Sandy Bridge's instruction side has no 1G
+// array, and neither does its L2). Scaling removes more arrays: from
+// TLBScale 20 the 1G data array, at 64 the 2M instruction array. For every
+// technique, page size, scale and side, with the L0 memo and without it,
+// an access converges, its walks miss and its last fill counts as its L1
+// hit, and the next access to the page hits in L1.
 func TestFetchFromLargePageConverges(t *testing.T) {
-	cases := []struct {
-		size  pagetable.Size
-		scale int
-	}{{pagetable.Size1G, 8}, {pagetable.Size2M, 64}}
-	for _, c := range cases {
-		for _, tech := range []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile} {
-			for _, noMemo := range []bool{false, true} {
-				name := fmt.Sprintf("%v/%v/scale%d/noMemo=%v", tech, c.size, c.scale, noMemo)
-				cfg := DefaultConfig(tech, c.size)
-				cfg.TLBScale = c.scale
-				cfg.DisableL0Memo = noMemo
-				m := newMachine(t, cfg)
-				code := uint64(1 << 30)
-				mustRun(t, m, setupOps(code, c.size.Bytes(), c.size))
-				if err := m.Fetch(0, code+0x12_3456); err != nil {
-					t.Fatalf("%s: first fetch: %v", name, err)
-				}
-				// The fetch's walks miss; its last fill counts as its hit.
-				before := m.TLBs.Stats()
-				if before.L1Hits != 1 || before.L2Hits != 0 || before.Lookups != before.L1Hits+before.Misses {
-					t.Errorf("%s: first fetch TLB stats %+v, want misses then one L1 hit", name, before)
-				}
-				if err := m.Fetch(0, code+0x12_3456+64); err != nil {
-					t.Fatalf("%s: second fetch: %v", name, err)
-				}
-				after := m.TLBs.Stats()
-				if after.Lookups != before.Lookups+1 || after.L1Hits != before.L1Hits+1 {
-					t.Errorf("%s: second fetch moved TLB stats %+v -> %+v, want one L1 hit", name, before, after)
-				}
-				if after.Lookups != after.L1Hits+after.L2Hits+after.Misses {
-					t.Errorf("%s: lookups %d != L1 %d + L2 %d + misses %d", name, after.Lookups, after.L1Hits, after.L2Hits, after.Misses)
+	for _, size := range []pagetable.Size{pagetable.Size4K, pagetable.Size2M, pagetable.Size1G} {
+		for _, scale := range []int{1, 2, 4, 8, 16, 20, 32, 64} {
+			for _, tech := range []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile} {
+				for _, fetch := range []bool{false, true} {
+					for _, noMemo := range []bool{false, true} {
+						name := fmt.Sprintf("%v/%v/scale%d/fetch=%v/noMemo=%v", tech, size, scale, fetch, noMemo)
+						cfg := DefaultConfig(tech, size)
+						cfg.TLBScale = scale
+						cfg.DisableL0Memo = noMemo
+						m := newMachine(t, cfg)
+						base := uint64(1 << 30)
+						mustRun(t, m, setupOps(base, size.Bytes(), size))
+						access := func(va uint64) error {
+							if fetch {
+								return m.Fetch(0, va)
+							}
+							return m.Access(va, false)
+						}
+						va := base + 0x12_3456&size.Mask()
+						if err := access(va); err != nil {
+							t.Errorf("%s: first access: %v", name, err)
+							continue
+						}
+						before := m.TLBs.Stats()
+						if before.L1Hits != 1 || before.L2Hits != 0 || before.Lookups != before.L1Hits+before.Misses {
+							t.Errorf("%s: first access TLB stats %+v, want misses then one L1 hit", name, before)
+						}
+						if err := access(va + 64); err != nil {
+							t.Errorf("%s: second access: %v", name, err)
+							continue
+						}
+						after := m.TLBs.Stats()
+						if after.Lookups != before.Lookups+1 || after.L1Hits != before.L1Hits+1 {
+							t.Errorf("%s: second access moved TLB stats %+v -> %+v, want one L1 hit", name, before, after)
+						}
+						if after.Lookups != after.L1Hits+after.L2Hits+after.Misses {
+							t.Errorf("%s: lookups %d != L1 %d + L2 %d + misses %d", name, after.Lookups, after.L1Hits, after.L2Hits, after.Misses)
+						}
+					}
 				}
 			}
 		}

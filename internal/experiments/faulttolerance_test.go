@@ -137,10 +137,10 @@ func TestFigure5CollectAllPartialTable(t *testing.T) {
 	}
 }
 
-// TestInterruptLeavesDiskCachesIntact simulates ^C mid-sweep with both
-// disk cache tiers enabled and proves neither is corrupted: a fresh run
-// over the same directories loads cleanly (zero disk errors, which would
-// count validation failures) and reproduces the clean baseline exactly.
+// TestInterruptLeavesDiskCachesIntact simulates ^C mid-sweep with the
+// report disk tier enabled and proves it is not corrupted: a fresh run
+// over the same directory completes with zero disk write errors and
+// reproduces the clean baseline exactly.
 func TestInterruptLeavesDiskCachesIntact(t *testing.T) {
 	const accesses, seed = 2000, 43
 
@@ -151,11 +151,11 @@ func TestInterruptLeavesDiskCachesIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	repcache.SetDir(t.TempDir())
-	workload.SetStreamCacheDir(t.TempDir())
+	if err := repcache.SetDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		repcache.SetDir("")
-		workload.SetStreamCacheDir("")
 		repcache.Reset()
 		workload.ResetStreamCache()
 	}()
@@ -178,9 +178,9 @@ func TestInterruptLeavesDiskCachesIntact(t *testing.T) {
 		t.Fatalf("interrupted sweep err = %v, want context.Canceled", err)
 	}
 
-	// A fresh process over the same cache directories: memory tiers drop,
-	// disk tiers must serve whatever the interrupted run persisted and
-	// regenerate the rest — with zero validation failures.
+	// A fresh process over the same cache directory: memory tiers drop,
+	// the disk tier must serve whatever the interrupted run persisted and
+	// re-simulate the rest, reproducing the clean rows exactly.
 	repcache.Reset()
 	workload.ResetStreamCache()
 	after, err := Figure5Sweep(context.Background(), sweep.Config{Workers: 1}, []string{"dedup"}, accesses, seed)
@@ -189,9 +189,6 @@ func TestInterruptLeavesDiskCachesIntact(t *testing.T) {
 	}
 	if n := repcache.Info().DiskErrors; n != 0 {
 		t.Errorf("report disk cache: %d errors after interrupt", n)
-	}
-	if n := workload.StreamCacheInfo().DiskErrors; n != 0 {
-		t.Errorf("stream disk cache: %d errors after interrupt", n)
 	}
 	if !reflect.DeepEqual(after.Rows, clean.Rows) {
 		t.Fatal("post-interrupt rows differ from the clean baseline")

@@ -2,13 +2,15 @@ package repcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"sync"
 
 	"agilepaging/internal/cpu"
 )
@@ -18,85 +20,69 @@ import (
 // Opt-in via SetDir (the CLIs' -report-cache-dir flag): reports are written
 // to <dir>/report-<key>.apr after simulation and read back on later runs,
 // so a repeated paperbench/agilesim invocation skips simulation entirely.
-// The filename is the cell's content key (KeyFor), which already covers
-// every simulation input, so a parameter change simply misses; nothing is
-// ever reused across keys.
+// The filename is the cell's content key (KeyFor), which covers every
+// simulation input, so a parameter change simply misses; nothing is ever
+// reused across keys.
 //
-// Files are validated defensively, following the stream cache's discipline:
-// magic, version, and schema checks, a CRC-32C over the entire payload, and
-// a full gob decode before anything is returned. Any mismatch — truncation,
-// bit rot, a stale or hostile file — silently falls back to re-simulation
-// (removing the bad file) and never panics: a corrupt cache must cost one
-// simulation, not a crash.
+// The key does not cover the simulator's own code. Each file's header
+// therefore carries the build identity, the sha256 of the executable that
+// wrote it, and a file is served only to the same executable. Any change
+// to the simulator, the workload generator, the packed stream encoding or
+// cpu.Report's layout produces a different binary, so no version number
+// has to be bumped by hand. Builds that share a directory overwrite each
+// other's files.
+//
+// Files are validated defensively: magic and build checks, a CRC-32C over
+// the entire payload, and a full gob decode before anything is returned.
+// Any mismatch — truncation, bit rot, another build's or a hostile file —
+// silently falls back to re-simulation (removing the bad file) and never
+// panics: a corrupt cache must cost one simulation, not a crash.
 //
 // The payload is gob, not JSON: Report counters are uint64 cycle totals
 // that exceed 2^53 on long runs, and the round trip must be exact for the
-// cache to preserve bit-identity. gob, however, silently zero-fills fields
-// absent from the wire — a file written before Report gained a field would
-// decode "successfully" into a wrong report. The header therefore embeds a
-// fingerprint of Report's reflected structure (reportSchema); adding,
-// removing, retyping, or reordering fields changes it and stale files
-// regenerate instead of misdecoding.
+// cache to preserve bit-identity.
 
 // reportFileMagic heads every cache file; it keeps utterly foreign files
 // from even reaching the parser.
 var reportFileMagic = [8]byte{'A', 'G', 'P', 'R', 'E', 'P', 'T', '1'}
-
-// reportFileVersion identifies the container layout below. The Report
-// struct itself is covered by the schema fingerprint, not this.
-const reportFileVersion = 1
 
 // maxReportFileBytes caps how much of a cache file is read and decoded. A
 // genuine report file is well under a kilobyte; the cap keeps a hostile or
 // misplaced multi-gigabyte file from becoming an allocation bomb.
 const maxReportFileBytes = 1 << 20
 
-// reportSchema fingerprints cpu.Report's reflected structure: every field's
-// name and full type, recursively, in declaration order.
-var reportSchema = schemaOf(reflect.TypeOf(cpu.Report{}))
-
-func schemaOf(t reflect.Type) string {
-	var b bytes.Buffer
-	writeSchema(&b, t)
-	return b.String()
-}
-
-func writeSchema(b *bytes.Buffer, t reflect.Type) {
-	switch t.Kind() {
-	case reflect.Struct:
-		fmt.Fprintf(b, "struct{")
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			fmt.Fprintf(b, "%s ", f.Name)
-			writeSchema(b, f.Type)
-			b.WriteByte(';')
-		}
-		b.WriteByte('}')
-	case reflect.Array:
-		fmt.Fprintf(b, "[%d]", t.Len())
-		writeSchema(b, t.Elem())
-	case reflect.Slice:
-		b.WriteString("[]")
-		writeSchema(b, t.Elem())
-	default:
-		b.WriteString(t.Kind().String())
+// buildIdentity returns the sha256 of the running executable, hashed once
+// per process.
+var buildIdentity = sync.OnceValues(func() ([32]byte, error) {
+	var id [32]byte
+	path, err := os.Executable()
+	if err != nil {
+		return id, err
 	}
-}
+	f, err := os.Open(path)
+	if err != nil {
+		return id, err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return id, err
+	}
+	copy(id[:], h.Sum(nil))
+	return id, nil
+})
 
-// encodeReportFile serializes one report:
+// encodeReportFile serializes one report written by build:
 //
-//	magic[8] | u32 version | u32 schemaLen | schema | u32 gobLen | gob |
-//	u32 CRC-32C of everything before it
-func encodeReportFile(rep cpu.Report) ([]byte, error) {
+//	magic[8] | build[32] | u32 gobLen | gob | u32 CRC-32C of everything before it
+func encodeReportFile(rep cpu.Report, build [32]byte) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(rep); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 8+4+4+len(reportSchema)+4+payload.Len()+4)
+	buf := make([]byte, 0, 8+32+4+payload.Len()+4)
 	buf = append(buf, reportFileMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, reportFileVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(reportSchema)))
-	buf = append(buf, reportSchema...)
+	buf = append(buf, build[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload.Len()))
 	buf = append(buf, payload.Bytes()...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
@@ -106,16 +92,16 @@ func encodeReportFile(rep cpu.Report) ([]byte, error) {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // decodeReportFile parses and fully validates a cache file. Every byte is
-// covered by the checksum, the schema fingerprint must match this binary's
-// Report exactly, and the gob payload must decode to precisely its recorded
-// length — so a report accepted here is bit-identical to the one written.
-func decodeReportFile(data []byte) (cpu.Report, error) {
+// covered by the checksum, the file must have been written by build, and
+// the gob payload must decode to precisely its recorded length — so a
+// report accepted here is bit-identical to the one written.
+func decodeReportFile(data []byte, build [32]byte) (cpu.Report, error) {
 	var rep cpu.Report
-	const fixed = 8 + 4 + 4
+	const header = 8 + 32 + 4
 	if len(data) > maxReportFileBytes {
 		return rep, fmt.Errorf("oversized file (%d bytes)", len(data))
 	}
-	if len(data) < fixed+4+4 {
+	if len(data) < header+4 {
 		return rep, fmt.Errorf("truncated header (%d bytes)", len(data))
 	}
 	if [8]byte(data[:8]) != reportFileMagic {
@@ -125,23 +111,14 @@ func decodeReportFile(data []byte) (cpu.Report, error) {
 	if crc32.Checksum(body, crcTable) != sum {
 		return rep, fmt.Errorf("checksum mismatch")
 	}
-	if version := binary.LittleEndian.Uint32(data[8:]); version != reportFileVersion {
-		return rep, fmt.Errorf("file version %d, want %d", version, reportFileVersion)
+	if [32]byte(data[8:40]) != build {
+		return rep, fmt.Errorf("written by another build")
 	}
-	schemaLen := int(binary.LittleEndian.Uint32(data[12:]))
-	if schemaLen < 0 || fixed+schemaLen+4 > len(body) {
-		return rep, fmt.Errorf("truncated schema")
-	}
-	if string(data[fixed:fixed+schemaLen]) != reportSchema {
-		return rep, fmt.Errorf("report schema mismatch")
-	}
-	off := fixed + schemaLen
-	gobLen := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if gobLen < 0 || off+gobLen != len(body) {
+	gobLen := int(binary.LittleEndian.Uint32(data[40:]))
+	if gobLen < 0 || header+gobLen != len(body) {
 		return rep, fmt.Errorf("payload length %d does not match file", gobLen)
 	}
-	dec := gob.NewDecoder(bytes.NewReader(data[off : off+gobLen]))
+	dec := gob.NewDecoder(bytes.NewReader(body[header:]))
 	if err := dec.Decode(&rep); err != nil {
 		return rep, fmt.Errorf("gob: %w", err)
 	}
@@ -157,7 +134,7 @@ func reportFileName(key string) string {
 // loadReportFromDisk tries to satisfy a cell from the disk cache. On any
 // validation failure the stale file is removed so the re-simulated report
 // replaces it.
-func loadReportFromDisk(dir, key string) (cpu.Report, bool) {
+func loadReportFromDisk(dir, key string, build [32]byte) (cpu.Report, bool) {
 	path := filepath.Join(dir, reportFileName(key))
 	if fi, err := os.Stat(path); err != nil || fi.Size() > maxReportFileBytes {
 		// Size-check before reading so an oversized (hostile or misplaced)
@@ -169,7 +146,7 @@ func loadReportFromDisk(dir, key string) (cpu.Report, bool) {
 	if err != nil {
 		return cpu.Report{}, false
 	}
-	rep, err := decodeReportFile(data)
+	rep, err := decodeReportFile(data, build)
 	if err != nil {
 		os.Remove(path)
 		return cpu.Report{}, false
@@ -181,8 +158,8 @@ func loadReportFromDisk(dir, key string) (cpu.Report, bool) {
 // concurrent or killed writer can never leave a torn file at the final
 // path). Failures are reported to the caller for stats but are otherwise
 // silent: the disk cache is an optimization, not a dependency.
-func writeReportToDisk(dir, key string, rep cpu.Report) error {
-	data, err := encodeReportFile(rep)
+func writeReportToDisk(dir, key string, build [32]byte, rep cpu.Report) error {
+	data, err := encodeReportFile(rep, build)
 	if err != nil {
 		return err
 	}

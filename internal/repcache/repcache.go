@@ -9,8 +9,8 @@
 // verbatim. Below the cell boundary that redundancy is already gone
 // (workload.SharedStream shares op streams, cpu.AcquireMachine reuses
 // machines); this package removes it above: a cell simulates once per
-// process — or, with the disk tier, once per machine — and every later ask
-// returns the stored report.
+// process — or, with the disk tier, once per build of the binary — and
+// every later ask returns the stored report.
 //
 // Correctness rests on the simulator being a pure function of the key
 // (pinned by the experiments golden test and the serial/parallel
@@ -22,14 +22,16 @@
 // the experiments layer enforces that by construction, and instrumented
 // runs never reach Do.
 //
-// Three layers, mirroring workload's stream cache:
+// Three layers:
 //
 //   - an in-memory LRU (byte budget, default DefaultBudgetBytes) with
 //     per-key sync.Once singleflight, so concurrent sweeps asking for the
 //     same cell run one simulation and share the result;
 //   - an opt-in disk tier (SetDir / the CLIs' -report-cache-dir flag):
-//     content-addressed files with defensive validation, so repeated CLI
-//     or bench invocations skip simulation entirely;
+//     content-addressed files with defensive validation, stamped with the
+//     sha256 of the executable that wrote them, so repeated runs of one
+//     binary skip simulation entirely and no other build is ever served
+//     them;
 //   - statistics (Info) the CLIs print under -progress.
 //
 // Concurrency contract: all exported functions are safe for concurrent
@@ -48,23 +50,20 @@ import (
 	"agilepaging/internal/workload"
 )
 
-// keyFormatVersion invalidates every key when the key derivation itself
-// changes shape. It is hashed into each key.
-const keyFormatVersion = 1
-
 // KeyFor derives the canonical content key of one simulation cell. The key
 // covers, via a sha256 over a canonical rendering:
 //
 //   - the normalized machine configuration (technique, page size, every
 //     geometry and cost-model knob — cpu.Config is a pure value struct, so
 //     the %#v rendering is canonical and automatically tracks new fields);
-//   - the normalized workload profile, the generated-stream parameters
-//     (accesses incl. warmup, seed) and the packed stream encoder version
-//     (a format change that altered decoded ops must miss);
+//   - the normalized workload profile and the generated-stream parameters
+//     (accesses incl. warmup, seed);
 //   - the warmup split (measurement starts after `warmup` accesses).
 //
-// Two cells with equal keys produce bit-identical reports; two cells that
-// could differ in any counter hash differently. Callers must pass the
+// Two cells with equal keys produce bit-identical reports from one build;
+// two cells that could differ in any counter hash differently. The
+// simulator's code is not in the key: the disk tier checks it through the
+// build identity in each file's header. Callers must pass the
 // configuration actually handed to the machine (after any driver
 // adjustments such as the one-core-per-thread bump).
 func KeyFor(cfg cpu.Config, prof workload.Profile, accesses, warmup int, seed int64) string {
@@ -78,14 +77,9 @@ func KeyFor(cfg cpu.Config, prof workload.Profile, accesses, warmup int, seed in
 		prof.Threads = 1
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "repcache/v%d|enc%d|%#v|%#v|n%d|w%d|s%d",
-		keyFormatVersion, workload.PackedEncoderVersion(), cfg, prof, accesses, warmup, seed)
+	fmt.Fprintf(h, "repcache|%#v|%#v|n%d|w%d|s%d", cfg, prof, accesses, warmup, seed)
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
-
-// opsKeyVersion versions KeyForOps on its own, so a change to the op-cell
-// encoding leaves profile-cell keys (and their disk files) intact.
-const opsKeyVersion = 2
 
 // opKeyBytes is the fixed width KeyForOps encodes one op in: seven 8-byte
 // integer fields and two bool bytes.
@@ -102,7 +96,7 @@ const opKeyBytes = 7*8 + 2
 func KeyForOps(cfg cpu.Config, name string, ops []workload.Op) string {
 	cfg = cfg.Normalized()
 	h := sha256.New()
-	fmt.Fprintf(h, "repcache/ops/v%d|%#v|%q|n%d", opsKeyVersion, cfg, name, len(ops))
+	fmt.Fprintf(h, "repcache/ops|%#v|%q|n%d", cfg, name, len(ops))
 	le := binary.LittleEndian
 	buf := make([]byte, 0, 256*opKeyBytes)
 	for i := range ops {
@@ -183,7 +177,8 @@ var cache = struct {
 	clock      uint64
 	bytes      int64
 	budget     int64
-	dir        string // disk tier directory ("" = disabled)
+	dir        string   // disk tier directory ("" = disabled)
+	build      [32]byte // identity stamped on disk files (set with dir)
 	hits       uint64
 	misses     uint64
 	deduped    uint64
@@ -241,12 +236,23 @@ func SetBudget(budget int64) {
 
 // SetDir sets the persistent report-cache directory. When non-empty,
 // computed reports are written there and later misses are satisfied from
-// valid files instead of simulating. "" (the default) disables the disk
-// tier.
-func SetDir(dir string) {
+// valid files instead of simulating. Each file carries the build identity,
+// the sha256 of the running executable, and is served only to the build
+// that wrote it. The executable is hashed on the first SetDir with a
+// directory; if it cannot be read, SetDir returns the error and leaves the
+// setting unchanged. "" (the default) disables the disk tier.
+func SetDir(dir string) error {
+	var build [32]byte
+	if dir != "" {
+		var err error
+		if build, err = buildIdentity(); err != nil {
+			return fmt.Errorf("repcache: build identity: %w", err)
+		}
+	}
 	cache.mu.Lock()
-	cache.dir = dir
+	cache.dir, cache.build = dir, build
 	cache.mu.Unlock()
+	return nil
 }
 
 // Reset drops every stored report and rewinds all cache state — statistics
@@ -320,30 +326,27 @@ func Do(key string, compute func() (cpu.Report, error)) (cpu.Report, error) {
 	}
 	c.clock++
 	e.lastUse = c.clock
-	dir := c.dir
+	dir, build := c.dir, c.build
 	c.mu.Unlock()
 
 	e.once.Do(func() {
+		var (
+			rep               cpu.Report
+			err               error
+			fromDisk, diskErr bool
+		)
 		if dir != "" {
-			if rep, ok := loadReportFromDisk(dir, key); ok {
-				e.finish(key, rep, nil, true, dir != "")
-				return
+			rep, fromDisk = loadReportFromDisk(dir, key, build)
+		}
+		if !fromDisk {
+			rep, err = compute()
+			if err == nil && dir != "" {
+				diskErr = writeReportToDisk(dir, key, build, rep) != nil
 			}
 		}
-		rep, err := compute()
-		diskErr := false
-		if err == nil && dir != "" {
-			diskErr = writeReportToDisk(dir, key, rep) != nil
-		}
-		e.finishWithDiskErr(key, rep, err, false, dir != "", diskErr)
+		e.finishWithDiskErr(key, rep, err, fromDisk, dir != "", diskErr)
 	})
 	return e.rep, e.err
-}
-
-// finish stores the computation's outcome and settles statistics and the
-// budget; see finishWithDiskErr.
-func (e *entry) finish(key string, rep cpu.Report, err error, fromDisk, diskEnabled bool) {
-	e.finishWithDiskErr(key, rep, err, fromDisk, diskEnabled, false)
 }
 
 // finishWithDiskErr records the report (or error) on the entry, updates the

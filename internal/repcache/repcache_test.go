@@ -47,7 +47,7 @@ func reset(t *testing.T) {
 	restore := func() {
 		Reset()
 		SetBudget(DefaultBudgetBytes)
-		SetDir("")
+		setDir(t, "")
 	}
 	restore()
 	t.Cleanup(restore)

@@ -246,9 +246,10 @@ func (h *Hierarchy) Lookup(asid uint16, va uint64, fetch bool) (Result, bool) {
 // Insert fills the translation for va, as a hardware walker does after a
 // walk: into the L1 array of the access's side and the L2 array for the
 // page size, when present. paBase is the physical base of the size-sized
-// mapping. The instruction side splinters a mapping larger than any of its
-// arrays into the largest one it has, as the real ITLB does with a 1G page
-// (Sandy Bridge has no 1G ITLB array); the L2 line then has that size too.
+// mapping. fetch only chooses the side. A mapping whose size has no L1
+// array on that side splinters into the largest smaller array the side
+// has, as the real ITLB does with a 1G page (Sandy Bridge has no 1G ITLB
+// array); the L2 line then has that size too.
 //
 // When an L1 array took the line, Insert returns true and the Result a
 // Lookup of va would now return: an L1 hit on that line. That is exact
@@ -257,17 +258,18 @@ func (h *Hierarchy) Lookup(asid uint16, va uint64, fetch bool) (Result, bool) {
 // still misses, and the new line is the only match in its array.
 // NoteRepeatL1Hit then accounts the hit without the probe.
 func (h *Hierarchy) Insert(asid uint16, va uint64, size pagetable.Size, paBase uint64, flags pagetable.Entry, fetch bool) (Result, bool) {
-	l1, fill := &h.d1, size
+	l1 := &h.d1
 	if fetch {
 		l1 = &h.i1
-		for fill > pagetable.Size4K && l1[fill] == nil {
-			fill--
-		}
-		if l1[fill] == nil {
-			fill = size // no array small enough: L2 only, at the mapping's size
-		}
-		paBase |= va & size.Mask() &^ fill.Mask()
 	}
+	fill := size
+	for fill > pagetable.Size4K && l1[fill] == nil {
+		fill--
+	}
+	if l1[fill] == nil {
+		fill = size // no array small enough: L2 only, at the mapping's size
+	}
+	paBase |= va & size.Mask() &^ fill.Mask()
 	base := pagetable.PageBase(va, fill)
 	c := l1[fill]
 	if c != nil {

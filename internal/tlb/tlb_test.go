@@ -196,7 +196,12 @@ func TestScaledConfig(t *testing.T) {
 func TestAbsentArrayNeverHits(t *testing.T) {
 	cfg := Config{L1D4K: ArrayConfig{Entries: 8, Ways: 2}} // everything else absent
 	h := NewHierarchy(cfg)
-	h.Insert(1, 0x200000, pagetable.Size2M, 0x400000, 0, false)
+	// With no 2M array, the 2M mapping splinters into the 4K array: it
+	// covers the 4K page of va and nothing else of the 2M page.
+	h.Insert(1, 0x203456, pagetable.Size2M, 0x400000, 0, false)
+	if r, ok := h.Lookup(1, 0x203456, false); !ok || r.Size != pagetable.Size4K || r.PA != 0x403456 {
+		t.Errorf("lookup of the splintered page = %+v, %v; want a 4K hit at 0x403456", r, ok)
+	}
 	if _, ok := h.Lookup(1, 0x200000, false); ok {
 		t.Error("hit in absent 2M array")
 	}

@@ -9,6 +9,13 @@ import (
 	"agilepaging/internal/pagetable"
 )
 
+// packOps encodes a fixed op list into a completed packed stream.
+func packOps(ops []Op) *packedStream {
+	ps := newPackedStream()
+	ps.encodeAll(NewFromOps("", ops))
+	return ps
+}
+
 // unpackAll decodes every chunk of a completed packed stream into one slice.
 func unpackAll(t testing.TB, ps *packedStream) []Op {
 	t.Helper()
@@ -217,36 +224,6 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		got := unpackAll(t, packOps(ops))
 		if !reflect.DeepEqual(ops, got) {
 			t.Fatal("fuzzed round trip differs")
-		}
-	})
-}
-
-// FuzzStreamFileDecode feeds arbitrary bytes to the disk-cache file parser:
-// it must reject or accept without ever panicking, and anything it accepts
-// must re-encode to a valid file with the same totals (not necessarily the
-// same bytes — the varint decoders tolerate non-minimal encodings that
-// re-encode shorter).
-func FuzzStreamFileDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(streamFileMagic[:])
-	valid := encodeStreamFile(packOps(Collect(New(Profile{
-		Name: "fuzz-seed", FootprintBytes: 1 << 16, Pattern: PatternStream,
-	}, pagetable.Size4K, 500, 1), -1)))
-	f.Add(valid)
-	truncated := append([]byte(nil), valid[:len(valid)/2]...)
-	f.Add(truncated)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ps, err := decodeStreamFile(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeStreamFile(encodeStreamFile(ps))
-		if err != nil {
-			t.Fatalf("accepted file re-encodes to an invalid file: %v", err)
-		}
-		if again.numOps != ps.numOps || again.accesses != ps.accesses {
-			t.Fatalf("re-encoded totals %d/%d, want %d/%d",
-				again.numOps, again.accesses, ps.numOps, ps.accesses)
 		}
 	})
 }

@@ -105,34 +105,26 @@ const DefaultStreamCacheBytes = 256 << 20
 
 // streamCache is the process-wide shared stream cache.
 var streamCache = struct {
-	mu         sync.Mutex
-	entries    map[streamKey]*streamEntry
-	clock      uint64
-	bytes      int64
-	budget     int64
-	dir        string // disk-cache directory ("" = disabled)
-	hits       uint64
-	misses     uint64
-	diskHits   uint64
-	diskMisses uint64
-	diskErrs   uint64
+	mu      sync.Mutex
+	entries map[streamKey]*streamEntry
+	clock   uint64
+	bytes   int64
+	budget  int64
+	hits    uint64
+	misses  uint64
 }{
 	entries: make(map[streamKey]*streamEntry),
 	budget:  DefaultStreamCacheBytes,
 }
 
 // StreamCacheSnapshot is a point-in-time copy of the stream cache's
-// counters. Hits/Misses count in-memory lookups (a hit means the stream
-// was already generated, or generating, when asked for). DiskHits counts
-// misses satisfied by a valid -stream-cache-dir file instead of
-// generation; DiskMisses counts misses that generated (no usable file);
-// DiskErrors counts failed cache-file writes. Bytes/Streams describe the
-// current packed in-memory footprint.
+// counters. Hits/Misses count lookups (a hit means the stream was already
+// generated, or generating, when asked for). Bytes/Streams describe the
+// current packed footprint.
 type StreamCacheSnapshot struct {
-	Hits, Misses                     uint64
-	DiskHits, DiskMisses, DiskErrors uint64
-	Bytes                            int64
-	Streams                          int
+	Hits, Misses uint64
+	Bytes        int64
+	Streams      int
 }
 
 // StreamCacheInfo reports cache effectiveness and current footprint.
@@ -142,13 +134,12 @@ func StreamCacheInfo() StreamCacheSnapshot {
 	defer c.mu.Unlock()
 	return StreamCacheSnapshot{
 		Hits: c.hits, Misses: c.misses,
-		DiskHits: c.diskHits, DiskMisses: c.diskMisses, DiskErrors: c.diskErrs,
 		Bytes: c.bytes, Streams: len(c.entries),
 	}
 }
 
-// StreamCacheStats reports the in-memory counters (see StreamCacheInfo for
-// the full snapshot including the disk cache).
+// StreamCacheStats reports the lookup counters and footprint (see
+// StreamCacheInfo for the full snapshot).
 func StreamCacheStats() (hits, misses uint64, bytes int64) {
 	info := StreamCacheInfo()
 	return info.Hits, info.Misses, info.Bytes
@@ -164,16 +155,6 @@ func SetStreamCacheBudget(budget int64) {
 	streamCache.mu.Unlock()
 }
 
-// SetStreamCacheDir sets the persistent stream-cache directory. When
-// non-empty, generated streams are written there and later SharedStream
-// misses are satisfied from valid files instead of regenerating. "" (the
-// default) disables persistence.
-func SetStreamCacheDir(dir string) {
-	streamCache.mu.Lock()
-	streamCache.dir = dir
-	streamCache.mu.Unlock()
-}
-
 // ResetStreamCache drops every cached stream and rewinds all cache state —
 // statistics and the LRU clock included — so cache behaviour after a reset
 // is exactly that of a fresh process (tests and memory-sensitive callers).
@@ -184,7 +165,6 @@ func ResetStreamCache() {
 	c.clock = 0
 	c.bytes = 0
 	c.hits, c.misses = 0, 0
-	c.diskHits, c.diskMisses, c.diskErrs = 0, 0, 0
 	c.mu.Unlock()
 }
 
@@ -252,8 +232,7 @@ func SharedStream(prof Profile, pageSize pagetable.Size, accesses int, seed int6
 		c.misses++
 		e = &streamEntry{s: &Stream{name: prof.Name, ps: newPackedStream()}}
 		c.entries[key] = e
-		dir := c.dir
-		go generateEntry(e, key, dir)
+		go generateEntry(e, key)
 	}
 	c.clock++
 	e.lastUse = c.clock
@@ -261,44 +240,18 @@ func SharedStream(prof Profile, pageSize pagetable.Size, accesses int, seed int6
 	return e.s
 }
 
-// generateEntry fills e's stream — from the disk cache when possible,
-// otherwise by running the generator with chunks published as encoded —
-// charges the completed size against the in-memory budget, and only then
-// marks the stream done. Anyone who has observed the stream complete
-// (Len, Ops, a Reader reaching EOF) therefore also observes consistent
-// cache statistics and an on-disk cache file, with no window in between.
-func generateEntry(e *streamEntry, key streamKey, dir string) {
+// generateEntry runs the generator for e's stream, publishing chunks as
+// they are encoded, charges the completed size against the budget, and
+// only then marks the stream done. Anyone who has observed the stream
+// complete (Len, Ops, a Reader reaching EOF) therefore also observes
+// consistent cache statistics, with no window in between.
+func generateEntry(e *streamEntry, key streamKey) {
 	c := &streamCache
 	ps := e.s.ps
-	fromDisk := false
-	diskKey := ""
-	if dir != "" {
-		diskKey = streamCacheKey(key.prof, key.pageSize, key.accesses, key.seed)
-		fromDisk = loadStreamFromDisk(dir, diskKey, ps)
-	}
-	diskErr := false
-	if !fromDisk {
-		ps.encodeChunks(New(key.prof, key.pageSize, key.accesses, key.seed))
-		if dir != "" {
-			// Persist before finish: readers are still draining the
-			// published chunks, so the write overlaps the first replay
-			// rather than delaying it.
-			diskErr = writeStreamToDisk(dir, diskKey, ps) != nil
-		}
-	}
+	ps.encodeChunks(New(key.prof, key.pageSize, key.accesses, key.seed))
 
 	size := ps.bytes + int64(len(ps.chunks))*32 + streamEntryOverhead
 	c.mu.Lock()
-	if dir != "" {
-		if fromDisk {
-			c.diskHits++
-		} else {
-			c.diskMisses++
-		}
-		if diskErr {
-			c.diskErrs++
-		}
-	}
 	// The entry may have been evicted (or the cache reset) while we
 	// generated; only charge entries still in the map.
 	if c.entries[key] == e {

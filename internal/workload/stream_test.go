@@ -13,11 +13,9 @@ func freshCache(t testing.TB, budget int64) {
 	t.Helper()
 	ResetStreamCache()
 	SetStreamCacheBudget(budget)
-	SetStreamCacheDir("")
 	t.Cleanup(func() {
 		ResetStreamCache()
 		SetStreamCacheBudget(DefaultStreamCacheBytes)
-		SetStreamCacheDir("")
 	})
 }
 
