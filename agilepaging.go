@@ -256,8 +256,8 @@ type Config struct {
 	// Accesses is the number of measured steady-phase memory accesses.
 	//
 	// Zero-value semantics: 0 selects the default of 120000 — there is no
-	// way to request a zero-access run. Negative values are invalid;
-	// RunAll rejects them up front and Run fails inside the simulator.
+	// way to request a zero-access run. Negative values are invalid; Run
+	// and RunAll reject them before simulating.
 	Accesses int
 	// Warmup overrides the pre-measurement warmup length. It is
 	// sign-encoded: 0 selects the default of Accesses/2, a positive value
@@ -325,8 +325,8 @@ type Result struct {
 func Workloads() []string { return workload.Names() }
 
 // options translates the facade config into the experiments layer's run
-// options. Run and RunAllContext share this so a Config always maps to the
-// same simulation cell however it is submitted.
+// options. Run and RunAll share this so a Config always maps to the same
+// simulation cell however it is submitted.
 func (cfg Config) options() experiments.Options {
 	o := experiments.DefaultOptions(cfg.Technique.mode(), cfg.PageSize.size())
 	if cfg.Accesses > 0 {
@@ -348,10 +348,11 @@ func (cfg Config) options() experiments.Options {
 	return o
 }
 
-// Run simulates one workload under one configuration.
+// Run simulates one workload under one configuration. It rejects the
+// specs RunAll rejects.
 func Run(cfg Config) (Result, error) {
-	if cfg.Workload == "" {
-		return Result{}, fmt.Errorf("agilepaging: no workload named; pick one of %v", Workloads())
+	if err := validateConfigs([]Config{cfg}); err != nil {
+		return Result{}, err
 	}
 	rep, err := experiments.RunProfile(cfg.Workload, cfg.options())
 	if err != nil {
@@ -397,8 +398,8 @@ func validateConfigs(cfgs []Config) error {
 }
 
 // RunAllOptions controls how a batch executes: worker count, error
-// policy, and retry. The zero value matches historical RunAll behavior
-// (one worker per CPU, fail fast, no retry).
+// policy, and retry. The zero value runs one worker per CPU, fails fast,
+// and does not retry.
 type RunAllOptions struct {
 	// Workers bounds the worker pool; <= 0 selects one worker per CPU.
 	Workers int
@@ -424,32 +425,20 @@ func (o RunAllOptions) sweepConfig() sweep.Config {
 	return cfg
 }
 
-// RunAll simulates every config concurrently (one worker per CPU) and
-// returns the results in the order the configs were given — identical to
-// running each through Run serially. Invalid specs (empty Workload,
-// negative Accesses) are rejected up front, before any simulation runs,
-// with one error naming every bad job index.
-func RunAll(cfgs []Config) ([]Result, error) {
-	return RunAllContext(context.Background(), 0, cfgs)
-}
-
-// RunAllContext is RunAll with explicit cancellation and worker-count
-// control. workers <= 0 selects one worker per CPU. On failure the first
-// observed error is returned, wrapped with the failing job's index and
-// key; use RunAllWith for fault-tolerant batches.
-func RunAllContext(ctx context.Context, workers int, cfgs []Config) ([]Result, error) {
-	results, _, err := RunAllWith(ctx, RunAllOptions{Workers: workers}, cfgs)
-	return results, err
-}
-
-// RunAllWith is RunAllContext with an explicit execution policy. The
-// results slice always has len(cfgs) slots in declaration order; completed
-// reports which slots hold real measurements (the rest are zero Results —
-// failed or, after a cancellation or fail-fast stop, never ran). Under
-// CollectAll every config executes despite failures and the returned error
-// joins one attributed entry per failed cell, so healthy cells of a long
-// campaign survive a bad one.
-func RunAllWith(ctx context.Context, opts RunAllOptions, cfgs []Config) (results []Result, completed []bool, err error) {
+// RunAll simulates every config concurrently and returns the results in
+// the order the configs were given, identical to running each through Run
+// serially. Invalid specs (empty Workload, negative Accesses) are rejected
+// up front, before any simulation runs, with one error naming every bad job
+// index.
+//
+// The results slice always has len(cfgs) slots; completed reports which
+// slots hold real measurements (the rest are zero Results: failed or, after
+// a cancellation or fail-fast stop, never ran). By default the first
+// observed failure is returned, wrapped with the failing job's index and
+// key. Under opts.CollectAll every config executes despite failures and the
+// returned error joins one attributed entry per failed cell, so healthy
+// cells of a long campaign survive a bad one.
+func RunAll(ctx context.Context, opts RunAllOptions, cfgs []Config) (results []Result, completed []bool, err error) {
 	if err := validateConfigs(cfgs); err != nil {
 		return nil, nil, err
 	}
@@ -480,33 +469,16 @@ func RunAllWith(ctx context.Context, opts RunAllOptions, cfgs []Config) (results
 	return out.Results, out.Completed, out.Err
 }
 
-// Compare runs one workload under every technique at the given page size
-// (concurrently, one worker per CPU) and returns the results in
-// Techniques() order.
-func Compare(workloadName string, ps PageSize, accesses int, seed int64) ([]Result, error) {
-	return CompareContext(context.Background(), 0, workloadName, ps, accesses, seed)
-}
-
-// CompareContext is Compare with explicit cancellation and worker-count
-// control (workers <= 0 selects one worker per CPU).
-func CompareContext(ctx context.Context, workers int, workloadName string, ps PageSize, accesses int, seed int64) ([]Result, error) {
-	return RunAllContext(ctx, workers, compareConfigs(workloadName, ps, accesses, seed))
-}
-
-// CompareWith is Compare with an explicit execution policy; see RunAllWith
-// for the completed-mask contract.
-func CompareWith(ctx context.Context, opts RunAllOptions, workloadName string, ps PageSize, accesses int, seed int64) ([]Result, []bool, error) {
-	return RunAllWith(ctx, opts, compareConfigs(workloadName, ps, accesses, seed))
-}
-
-// compareConfigs builds the per-technique configs Compare runs.
-func compareConfigs(workloadName string, ps PageSize, accesses int, seed int64) []Config {
+// Compare runs cfg once per technique, overriding cfg.Technique, and
+// returns the results in Techniques() order; see RunAll for the execution
+// policy and the completed-mask contract. Every other field of cfg, the
+// §IV knobs among them, applies to all four runs. SHSPBaseline, which
+// requires Agile, changes only the agile slot.
+func Compare(ctx context.Context, opts RunAllOptions, cfg Config) ([]Result, []bool, error) {
 	cfgs := make([]Config, 0, 4)
 	for _, tech := range Techniques() {
-		cfgs = append(cfgs, Config{
-			Workload: workloadName, Technique: tech, PageSize: ps,
-			Accesses: accesses, Seed: seed,
-		})
+		cfg.Technique = tech
+		cfgs = append(cfgs, cfg)
 	}
-	return cfgs
+	return RunAll(ctx, opts, cfgs)
 }

@@ -38,6 +38,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Workload: "unknown"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
+	if _, err := Run(Config{Workload: "mcf", Accesses: -5}); err == nil {
+		t.Error("negative accesses accepted")
+	}
 }
 
 func TestRunDeterminism(t *testing.T) {
@@ -56,7 +59,8 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestCompareOrderingAndShape(t *testing.T) {
-	rs, err := Compare("dedup", Page4K, testAccesses, 42)
+	rs, _, err := Compare(context.Background(), RunAllOptions{},
+		Config{Workload: "dedup", PageSize: Page4K, Accesses: testAccesses, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +90,7 @@ func TestRunAllMatchesSerialRuns(t *testing.T) {
 		{Workload: "mcf", Technique: Agile, PageSize: Page2M, Accesses: testAccesses, Seed: 5},
 		{Workload: "astar", Technique: Nested, PageSize: Page4K, Accesses: testAccesses, Seed: 5},
 	}
-	got, err := RunAll(cfgs)
+	got, _, err := RunAll(context.Background(), RunAllOptions{}, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestRunAllMatchesSerialRuns(t *testing.T) {
 }
 
 func TestRunAllValidation(t *testing.T) {
-	_, err := RunAll([]Config{
+	_, _, err := RunAll(context.Background(), RunAllOptions{}, []Config{
 		{Workload: "dedup", Technique: Shadow},
 		{Workload: ""},
 		{Workload: "mcf", Accesses: -5},
@@ -120,7 +124,7 @@ func TestRunAllValidation(t *testing.T) {
 		}
 	}
 	// Valid empty list is a no-op, not an error.
-	if rs, err := RunAll(nil); err != nil || len(rs) != 0 {
+	if rs, _, err := RunAll(context.Background(), RunAllOptions{}, nil); err != nil || len(rs) != 0 {
 		t.Errorf("RunAll(nil) = %v, %v", rs, err)
 	}
 }
@@ -128,7 +132,7 @@ func TestRunAllValidation(t *testing.T) {
 func TestRunAllUnknownWorkloadNamesJob(t *testing.T) {
 	// Unknown workloads pass validation (the registry owns that check) but
 	// must fail with the job key attached for attribution.
-	_, err := RunAll([]Config{
+	_, _, err := RunAll(context.Background(), RunAllOptions{}, []Config{
 		{Workload: "dedup", Technique: Native, Accesses: 2000},
 		{Workload: "nope", Technique: Native, Accesses: 2000},
 	})
@@ -146,7 +150,7 @@ func TestRunAllWithCollectAll(t *testing.T) {
 		{Workload: "nosuchworkload", Technique: Native, Accesses: 2000},
 		{Workload: "mcf", Technique: Agile, PageSize: Page2M, Accesses: testAccesses, Seed: 5},
 	}
-	results, completed, err := RunAllWith(context.Background(), RunAllOptions{CollectAll: true}, cfgs)
+	results, completed, err := RunAll(context.Background(), RunAllOptions{CollectAll: true}, cfgs)
 	if err == nil {
 		t.Fatal("bad cell not reported")
 	}
@@ -172,14 +176,14 @@ func TestRunAllWithCollectAll(t *testing.T) {
 
 	// The default fail-fast policy reports the failure too, just without
 	// the guarantee that the other cells ran.
-	if _, _, err := RunAllWith(context.Background(), RunAllOptions{}, cfgs); err == nil {
+	if _, _, err := RunAll(context.Background(), RunAllOptions{}, cfgs); err == nil {
 		t.Error("fail-fast run did not report the bad cell")
 	}
 }
 
 func TestCompareWithShape(t *testing.T) {
-	results, completed, err := CompareWith(context.Background(), RunAllOptions{Workers: 2},
-		"dedup", Page4K, testAccesses, 42)
+	results, completed, err := Compare(context.Background(), RunAllOptions{Workers: 2},
+		Config{Workload: "dedup", PageSize: Page4K, Accesses: testAccesses, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +196,31 @@ func TestCompareWithShape(t *testing.T) {
 		}
 		if results[i].Technique != Techniques()[i] {
 			t.Errorf("cell %d technique = %v", i, results[i].Technique)
+		}
+	}
+}
+
+// TestCompareHonoursKnobs pins that Compare runs the whole Config under
+// each technique: the §IV knobs and MMU-cache switch reach every slot, so
+// the comparison equals one Run per technique on the same Config.
+func TestCompareHonoursKnobs(t *testing.T) {
+	cfg := Config{
+		Workload: "dedup", PageSize: Page4K, Accesses: 8000, Warmup: -1, Seed: 5,
+		HardwareAD: true, DisableMMUCaches: true, CtxSwitchCacheEntries: 8,
+	}
+	got, _, err := Compare(context.Background(), RunAllOptions{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tech := range Techniques() {
+		one := cfg
+		one.Technique = tech
+		want, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("Compare[%s] differs from Run on the same Config:\n%+v\n%+v", tech, got[i], want)
 		}
 	}
 }
@@ -425,7 +454,7 @@ func TestRunAllDeduplicatesIdenticalConfigs(t *testing.T) {
 		{Workload: "dedup", Technique: Shadow, PageSize: Page4K, Accesses: 4000, Seed: 6}, // distinct seed
 		{Workload: "mcf", Technique: Agile, PageSize: Page4K, Accesses: 4000, Seed: 5},    // dup of 1
 	}
-	got, err := RunAll(cfgs)
+	got, _, err := RunAll(context.Background(), RunAllOptions{}, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +474,7 @@ func TestRunAllDeduplicatesIdenticalConfigs(t *testing.T) {
 		{Workload: "astar", Technique: Nested, PageSize: Page4K, Accesses: 4000},
 		{Workload: "astar", Technique: Nested, PageSize: Page4K, Accesses: 4000, Seed: 42},
 	}
-	res, err := RunAll(pair)
+	res, _, err := RunAll(context.Background(), RunAllOptions{}, pair)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func applyPoolMode(b *testing.B) {
 // page-table update cost.
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableI()
+		rows, err := experiments.TableISweep(context.Background(), sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkTableI(b *testing.B) {
 // at each degree of nesting (4, 8, 12, 16, 20, 24).
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableII()
+		rows, err := experiments.TableIISweep(context.Background(), sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ var figure5Cache struct {
 func figure5(b *testing.B) *experiments.Figure5Result {
 	b.Helper()
 	figure5Cache.once.Do(func() {
-		figure5Cache.res, figure5Cache.err = experiments.Figure5(nil, benchAccesses, benchSeed)
+		figure5Cache.res, figure5Cache.err = experiments.Figure5Sweep(context.Background(), sweep.Config{}, nil, benchAccesses, benchSeed)
 	})
 	if figure5Cache.err != nil {
 		b.Fatal(figure5Cache.err)
@@ -212,7 +212,7 @@ func BenchmarkTableVI(b *testing.B) {
 	var rows []experiments.TableVIRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.TableVI(nil, benchAccesses, benchSeed)
+		rows, err = experiments.TableVISweep(context.Background(), sweep.Config{}, nil, benchAccesses, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkAblations(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
-		rows, err = experiments.Ablations(40_000, benchSeed)
+		rows, err = experiments.AblationsSweep(context.Background(), sweep.Config{}, 40_000, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkModelValidation(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
-		v, err = experiments.ValidateModel("canneal", 60_000, benchSeed)
+		v, err = experiments.ValidateModelSweep(context.Background(), sweep.Config{}, "canneal", 60_000, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func BenchmarkSHSP(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
-		rows, err = experiments.SHSPComparison([]string{"dedup", "mcf"}, 60_000, benchSeed)
+		rows, err = experiments.SHSPComparisonSweep(context.Background(), sweep.Config{}, []string{"dedup", "mcf"}, 60_000, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func runAllBenchConfigs() []Config {
 func BenchmarkRunAllDeduped(b *testing.B) {
 	cfgs := runAllBenchConfigs()
 	run := func(b *testing.B) {
-		res, err := RunAllContext(context.Background(), 0, cfgs)
+		res, _, err := RunAll(context.Background(), RunAllOptions{}, cfgs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,9 +13,21 @@
 //	paperbench -ablations            # §III-C / §IV design-choice ablations
 //	paperbench -validate canneal     # Table IV model vs direct simulation
 //	paperbench -metrics out.json     # adaptation-curve epoch telemetry
-//	paperbench -run mcf -technique shadow -pagesize 2M   # one sweep cell
 //	paperbench -all -parallel 8      # same results, 8 simulations at a time
 //	paperbench -all -fail collect -retries 2   # run past bad cells, retry flakes
+//
+// One simulation cell, measured through the agilepaging facade:
+//
+//	paperbench -run mcf -technique shadow -pagesize 2M   # one Figure 5 bar
+//	paperbench -run dedup -json                          # the Result as JSON
+//	paperbench -run mcf -compare                         # all four techniques
+//	paperbench -run dedup -hw-ad -ctx-cache 8 -no-mmu-caches -warmup -1
+//	paperbench -run dedup -metrics cell.csv -walk-trace walks.json
+//
+// The cell flags (-technique, -pagesize, -warmup, -compare, -json,
+// -no-mmu-caches, -hw-ad, -ctx-cache) need -run. With -run, -shsp runs the
+// cell under the SHSP baseline, and -metrics and -walk-trace record the
+// cell's epoch telemetry instead of the adaptation curve.
 //
 // SIGINT/SIGTERM interrupt gracefully: in-flight simulations finish, the
 // completed-cell count and cache statistics go to stderr, and the process
@@ -37,13 +49,12 @@ import (
 	"syscall"
 	"time"
 
+	"agilepaging"
 	"agilepaging/internal/cpu"
 	"agilepaging/internal/experiments"
-	"agilepaging/internal/pagetable"
 	"agilepaging/internal/repcache"
 	"agilepaging/internal/sweep"
 	"agilepaging/internal/telemetry"
-	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
 
@@ -72,15 +83,21 @@ type options struct {
 	metricsEpoch int
 	walkTrace    string
 
-	runWorkload string
-	technique   string
-	pageSize    string
+	// cell is the simulation -run selects: its workload, the cell flags,
+	// -shsp, -accesses and -seed. Run and Compare both take it.
+	cell    agilepaging.Config
+	compare bool
+	json    bool
 
 	streamCacheMB  int64
 	reportCacheMB  int64
 	reportCacheDir string
 	machinePool    int
 }
+
+// cellFlags are the flags that configure the -run cell and mean nothing
+// without it.
+var cellFlags = []string{"technique", "pagesize", "warmup", "compare", "json", "no-mmu-caches", "hw-ad", "ctx-cache"}
 
 // parseArgs parses the paperbench command line (without the program name).
 func parseArgs(args []string, stderr io.Writer) (options, error) {
@@ -89,11 +106,13 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	var (
 		o         options
 		workloads string
+		technique string
+		pageSize  string
 	)
 	fs.IntVar(&o.table, "table", 0, "regenerate table 1, 2, 3, 5, or 6")
 	fs.IntVar(&o.figure, "figure", 0, "regenerate figure 1 or 5")
 	fs.BoolVar(&o.ablations, "ablations", false, "run the design-choice ablations")
-	fs.BoolVar(&o.shsp, "shsp", false, "compare against the SHSP prior-work baseline (§VII.C)")
+	fs.BoolVar(&o.shsp, "shsp", false, "compare against the SHSP prior-work baseline (§VII.C); with -run, simulate the cell under SHSP instead of the agile manager")
 	fs.BoolVar(&o.sens, "sensitivity", false, "sweep the cost-model calibration and check robustness")
 	fs.StringVar(&o.validate, "validate", "", "validate the Table IV model on a workload")
 	fs.BoolVar(&o.all, "all", false, "regenerate everything")
@@ -107,21 +126,35 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.retries, "retries", 0, "re-run a failed simulation cell up to this many extra times")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&o.metrics, "metrics", "", "run the adaptation-curve experiment and write its epoch series to this file (.csv for CSV, else JSON)")
+	fs.StringVar(&o.metrics, "metrics", "", "run the adaptation-curve experiment, or with -run record the cell, and write the epoch series to this file (.csv for CSV, else JSON)")
 	fs.IntVar(&o.metricsEpoch, "metrics-epoch", 2000, "telemetry sampling interval in accesses for -metrics")
-	fs.StringVar(&o.walkTrace, "walk-trace", "", "with -metrics: also write the last page walks as Chrome trace-event JSON to this file")
+	fs.StringVar(&o.walkTrace, "walk-trace", "", "with -metrics or -run: also write the last page walks as Chrome trace-event JSON to this file")
 	fs.Int64Var(&o.streamCacheMB, "stream-cache", workload.DefaultStreamCacheBytes>>20, "shared workload stream cache budget in MiB (0 disables sharing, -1 unbounded)")
 	fs.Int64Var(&o.reportCacheMB, "report-cache", repcache.DefaultBudgetBytes>>20, "memoized simulation report cache budget in MiB (0 disables memoization, -1 unbounded)")
 	fs.StringVar(&o.reportCacheDir, "report-cache-dir", "", "persist simulation reports in this directory; a file is reused only by the same binary")
 	fs.IntVar(&o.machinePool, "machine-pool", cpu.DefaultMachinePoolCapacity, "idle simulated machines kept for reuse across sweep cells (0 disables pooling)")
-	fs.StringVar(&o.runWorkload, "run", "", "run one sweep cell: this workload under -technique and -pagesize")
-	fs.StringVar(&o.technique, "technique", "agile", "technique for -run (native | nested | shadow | agile)")
-	fs.StringVar(&o.pageSize, "pagesize", "4K", "page size for -run (4K | 2M | 1G)")
+	fs.StringVar(&o.cell.Workload, "run", "", "simulate one cell of this workload ("+strings.Join(agilepaging.Workloads(), ", ")+") and print its result")
+	fs.StringVar(&technique, "technique", "agile", "technique for -run (native | nested | shadow | agile)")
+	fs.StringVar(&pageSize, "pagesize", "4K", "page size for -run (4K | 2M | 1G)")
+	fs.IntVar(&o.cell.Warmup, "warmup", 0, "warmup accesses for -run (0 = accesses/2, -1 = none)")
+	fs.BoolVar(&o.compare, "compare", false, "with -run: run all four techniques and compare")
+	fs.BoolVar(&o.json, "json", false, "with -run: print the result as JSON")
+	fs.BoolVar(&o.cell.DisableMMUCaches, "no-mmu-caches", false, "with -run: disable page walk caches and nested TLB")
+	fs.BoolVar(&o.cell.HardwareAD, "hw-ad", false, "with -run: enable the §IV hardware A/D optimization")
+	fs.IntVar(&o.cell.CtxSwitchCacheEntries, "ctx-cache", 0, "with -run: entries in the §IV context-switch cache (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
 	if fs.NArg() > 0 {
 		return options{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if o.accesses < 1 {
+		return options{}, fmt.Errorf("-accesses %d: want >= 1", o.accesses)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := o.setCell(set, technique, pageSize); err != nil {
+		return options{}, err
 	}
 	if o.fail != "fast" && o.fail != "collect" {
 		return options{}, fmt.Errorf("-fail %q: want 'fast' or 'collect'", o.fail)
@@ -135,9 +168,56 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	return o, nil
 }
 
+// setCell checks the cell flags against -run and one another, and fills
+// o.cell from them. set holds the names of the flags given on the command
+// line.
+func (o *options) setCell(set map[string]bool, technique, pageSize string) error {
+	if o.cell.Workload == "" {
+		var stray []string
+		for _, name := range cellFlags {
+			if set[name] {
+				stray = append(stray, "-"+name)
+			}
+		}
+		if len(stray) > 0 {
+			return fmt.Errorf("%s: only with -run", strings.Join(stray, ", "))
+		}
+		return nil
+	}
+	if o.compare {
+		// -compare picks every technique itself and prints one table row
+		// per technique; these flags would each change or drop part of it.
+		for _, name := range []string{"technique", "shsp", "json", "metrics", "walk-trace"} {
+			if set[name] {
+				return fmt.Errorf("-%s: not with -compare", name)
+			}
+		}
+	}
+	if o.json && (o.metrics != "" || o.walkTrace != "") {
+		return fmt.Errorf("-json: not with -metrics or -walk-trace")
+	}
+	var err error
+	if o.cell.Technique, err = agilepaging.ParseTechnique(technique); err != nil {
+		return err
+	}
+	if o.cell.PageSize, err = agilepaging.ParsePageSize(pageSize); err != nil {
+		return err
+	}
+	if o.shsp && o.cell.Technique != agilepaging.Agile {
+		return fmt.Errorf("-shsp: the SHSP baseline replaces the agile manager; want -technique agile, got %s", o.cell.Technique)
+	}
+	o.cell.Accesses = o.accesses
+	o.cell.Seed = o.seed
+	o.cell.SHSPBaseline = o.shsp
+	return nil
+}
+
 // completedSims counts successfully finished simulations across every sweep
 // of the invocation, for the interrupt report.
 var completedSims atomic.Int64
+
+// retryBackoff is the wait before a failed cell's first retry.
+const retryBackoff = 50 * time.Millisecond
 
 // sweepConfig builds the shared sweep configuration: the requested worker
 // count, error policy, and retry budget. OnProgress is always installed to
@@ -156,9 +236,19 @@ func (o options) sweepConfig(stderr io.Writer) sweep.Config {
 		cfg.ErrorPolicy = sweep.CollectAll
 	}
 	if o.retries > 0 {
-		cfg.Retry = sweep.Retry{Attempts: o.retries, Backoff: 50 * time.Millisecond}
+		cfg.Retry = sweep.Retry{Attempts: o.retries, Backoff: retryBackoff}
 	}
 	return cfg
+}
+
+// runAllOptions maps -parallel, -fail and -retries onto the facade's batch
+// options for -run -compare, as sweepConfig maps them for the tables.
+func (o options) runAllOptions() agilepaging.RunAllOptions {
+	ro := agilepaging.RunAllOptions{Workers: o.parallel, CollectAll: o.fail == "collect", Retries: o.retries}
+	if o.retries > 0 {
+		ro.RetryBackoff = retryBackoff
+	}
+	return ro
 }
 
 // startProfiles begins CPU profiling (when cpuPath is non-empty) and returns
@@ -238,21 +328,27 @@ func main() {
 	names := opts.workloads
 
 	ran := false
+	// check ends the process when a section fails: with status 130 after an
+	// interrupt, 1 otherwise.
+	check := func(name string, err error) {
+		if err == nil {
+			return
+		}
+		if ctx.Err() != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: %s: interrupted after %d completed simulations\n",
+				name, completedSims.Load())
+			printCacheStats(os.Stderr, opts)
+			stopProfiles()
+			os.Exit(130)
+		}
+		fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", name, err)
+		stopProfiles()
+		os.Exit(1)
+	}
 	run := func(name string, fn func() error) {
 		ran = true
 		fmt.Printf("==> %s\n", name)
-		if err := fn(); err != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %s: interrupted after %d completed simulations\n",
-					name, completedSims.Load())
-				printCacheStats(os.Stderr, opts)
-				stopProfiles()
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", name, err)
-			stopProfiles()
-			os.Exit(1)
-		}
+		check(name, fn())
 		fmt.Println()
 	}
 
@@ -356,7 +452,7 @@ func main() {
 			return nil
 		})
 	}
-	if opts.all || opts.shsp {
+	if opts.all || (opts.shsp && opts.cell.Workload == "") {
 		run("SHSP comparison", func() error {
 			rows, err := experiments.SHSPComparisonSweep(ctx, scfg, names, opts.accesses, opts.seed)
 			if len(rows) > 0 {
@@ -404,13 +500,13 @@ func main() {
 		})
 	}
 
-	if opts.runWorkload != "" {
-		run("Single cell ("+opts.runWorkload+")", func() error {
-			return runCell(opts)
-		})
+	if opts.cell.Workload != "" {
+		// No section header: with -json the JSON is the whole of stdout.
+		ran = true
+		check(opts.cellName(), runCell(ctx, opts))
 	}
 
-	if opts.metrics != "" {
+	if opts.metrics != "" && opts.cell.Workload == "" {
 		run("Adaptation curve (Table I in time)", func() error {
 			var ring *telemetry.EventRing
 			if opts.walkTrace != "" {
@@ -421,22 +517,7 @@ func main() {
 				return err
 			}
 			fmt.Print(experiments.FormatAdaptation(s))
-			if err := writeSeries(opts.metrics, s); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d epochs to %s\n", len(s.Epochs), opts.metrics)
-			if ring != nil {
-				f, err := os.Create(opts.walkTrace)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := ring.WriteChromeTrace(f); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %d walk events to %s (chrome://tracing)\n", len(ring.Events()), opts.walkTrace)
-			}
-			return nil
+			return writeTelemetry(opts.metrics, s, opts.walkTrace, ring)
 		})
 	}
 
@@ -476,36 +557,6 @@ func formatReportCacheStats(info repcache.Snapshot, disk bool) string {
 	return out
 }
 
-// runCell simulates one (workload, technique, page size) cell and prints
-// its report, the quick way to re-measure a single bar of Figure 5. The
-// -technique/-pagesize strings parse through the same walker.ParseMode /
-// pagetable.ParseSize parsers every tool shares.
-func runCell(opts options) error {
-	mode, err := walker.ParseMode(opts.technique)
-	if err != nil {
-		return err
-	}
-	size, err := pagetable.ParseSize(opts.pageSize)
-	if err != nil {
-		return err
-	}
-	o := experiments.DefaultOptions(mode, size)
-	o.Accesses = opts.accesses
-	o.Seed = opts.seed
-	rep, err := experiments.RunProfile(opts.runWorkload, o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s / %s pages / %s paging\n", opts.runWorkload, size, mode)
-	fmt.Printf("  walk overhead   %6.1f%%\n", 100*rep.WalkOverhead())
-	fmt.Printf("  VMM overhead    %6.1f%%\n", 100*rep.VMMOverhead())
-	fmt.Printf("  total overhead  %6.1f%%\n", 100*rep.TotalOverhead())
-	fmt.Printf("  TLB misses      %d (%.1f MPKI, %.2f refs/miss)\n",
-		rep.Machine.TLBMisses, rep.MPKI(), rep.AvgRefsPerMiss())
-	fmt.Printf("  VM exits        %d\n", rep.VMM.TotalTraps())
-	return nil
-}
-
 // applyStreamCacheBudget translates the -stream-cache MiB flag into the
 // workload package's byte budget (negative passes through as unbounded).
 func applyStreamCacheBudget(mib int64) {
@@ -526,16 +577,39 @@ func applyReportCacheBudget(mib int64) {
 	repcache.SetBudget(mib << 20)
 }
 
-// writeSeries exports the epoch series by extension: .csv selects CSV,
-// anything else the self-describing JSON form.
-func writeSeries(path string, s *telemetry.Series) error {
+// writeTelemetry writes the epoch series to the metrics path, by extension
+// (.csv selects CSV, anything else the self-describing JSON form), and the
+// walk-event ring, when there is one, to the walk-trace path as Chrome
+// trace-event JSON. Each file written is reported on stdout.
+func writeTelemetry(metrics string, s *telemetry.Series, walkTrace string, ring *telemetry.EventRing) error {
+	if metrics != "" {
+		write := s.WriteJSON
+		if strings.HasSuffix(metrics, ".csv") {
+			write = s.WriteCSV
+		}
+		if err := writeFile(metrics, write); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d epochs to %s\n", len(s.Epochs), metrics)
+	}
+	if ring != nil {
+		if err := writeFile(walkTrace, ring.WriteChromeTrace); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d walk events to %s (chrome://tracing)\n", len(ring.Events()), walkTrace)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return s.WriteCSV(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	return s.WriteJSON(f)
+	return f.Close()
 }

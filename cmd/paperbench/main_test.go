@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"agilepaging"
 	"agilepaging/internal/cpu"
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/repcache"
@@ -247,5 +248,118 @@ func TestFormatReportCacheStats(t *testing.T) {
 	got = formatReportCacheStats(info, true)
 	if !strings.Contains(got, "report disk cache: 1 loaded, 2 simulated, 1 write errors") {
 		t.Errorf("disk line = %q", got)
+	}
+}
+
+// The -technique and -pagesize flags route through the facade's shared
+// parsers; these tests pin the alias set the CLI documents.
+
+func TestParseTechnique(t *testing.T) {
+	for in, want := range map[string]string{
+		"native": "native", "B": "native", "nested": "nested", "n": "nested",
+		"Shadow": "shadow", "agile": "agile", "A": "agile",
+	} {
+		got, err := agilepaging.ParseTechnique(in)
+		if err != nil {
+			t.Errorf("ParseTechnique(%q): %v", in, err)
+			continue
+		}
+		if got.String() != want {
+			t.Errorf("ParseTechnique(%q) = %v, want %s", in, got, want)
+		}
+	}
+	if _, err := agilepaging.ParseTechnique("zen"); err == nil {
+		t.Error("bad technique accepted")
+	}
+}
+
+func TestParsePageSize(t *testing.T) {
+	for in, want := range map[string]string{
+		"4K": "4K", "4kb": "4K", "2M": "2M", "2mb": "2M", "1g": "1G",
+	} {
+		got, err := agilepaging.ParsePageSize(in)
+		if err != nil {
+			t.Errorf("ParsePageSize(%q): %v", in, err)
+			continue
+		}
+		if got.String() != want {
+			t.Errorf("ParsePageSize(%q) = %v", in, got)
+		}
+	}
+	if _, err := agilepaging.ParsePageSize("8M"); err == nil {
+		t.Error("bad page size accepted")
+	}
+}
+
+// TestParseArgsCellFlagsNeedRun pins that a flag configuring the -run cell
+// is an error without -run, instead of being silently ignored by a table.
+func TestParseArgsCellFlagsNeedRun(t *testing.T) {
+	var errBuf bytes.Buffer
+	values := map[string]string{
+		"technique": "shadow", "pagesize": "2M", "warmup": "-1", "compare": "true",
+		"json": "true", "no-mmu-caches": "true", "hw-ad": "true", "ctx-cache": "4",
+	}
+	for _, name := range cellFlags {
+		arg := "-" + name + "=" + values[name]
+		if _, err := parseArgs([]string{"-figure", "5", arg}, &errBuf); err == nil {
+			t.Errorf("-figure 5 %s accepted", arg)
+		}
+		if _, err := parseArgs([]string{"-run", "dedup", arg}, &errBuf); err != nil {
+			t.Errorf("-run dedup %s: %v", arg, err)
+		}
+	}
+}
+
+func TestParseArgsRejectsNonPositiveAccesses(t *testing.T) {
+	var errBuf bytes.Buffer
+	for _, args := range [][]string{
+		{"-figure", "5", "-workloads", "dedup", "-accesses", "0"},
+		{"-run", "dedup", "-accesses", "-5"},
+	} {
+		if _, err := parseArgs(args, &errBuf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if _, err := parseArgs([]string{"-run", "dedup", "-accesses", "1"}, &errBuf); err != nil {
+		t.Errorf("-accesses 1: %v", err)
+	}
+}
+
+// TestParseArgsRunCell pins the one Config -run builds from the cell
+// flags, and the flags -compare and -json refuse.
+func TestParseArgsRunCell(t *testing.T) {
+	var errBuf bytes.Buffer
+	o, err := parseArgs([]string{"-run", "mcf", "-technique", "shadow", "-pagesize", "2M",
+		"-warmup", "-1", "-hw-ad", "-ctx-cache", "4", "-no-mmu-caches", "-accesses", "20000", "-seed", "7"}, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := agilepaging.Config{
+		Workload: "mcf", Technique: agilepaging.Shadow, PageSize: agilepaging.Page2M,
+		Accesses: 20000, Warmup: -1, Seed: 7,
+		DisableMMUCaches: true, HardwareAD: true, CtxSwitchCacheEntries: 4,
+	}
+	if o.cell != want {
+		t.Errorf("cell = %+v, want %+v", o.cell, want)
+	}
+	o, err = parseArgs([]string{"-run", "dedup", "-shsp"}, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.cell.SHSPBaseline {
+		t.Error("-run -shsp did not select the SHSP baseline")
+	}
+	for _, args := range [][]string{
+		{"-run", "mcf", "-compare", "-technique", "shadow"},
+		{"-run", "mcf", "-compare", "-shsp"},
+		{"-run", "mcf", "-compare", "-json"},
+		{"-run", "mcf", "-compare", "-metrics", "m.csv"},
+		{"-run", "mcf", "-json", "-walk-trace", "w.json"},
+		{"-run", "mcf", "-shsp", "-technique", "nested"},
+		{"-run", "mcf", "-technique", "zen"},
+	} {
+		if _, err := parseArgs(args, &errBuf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"agilepaging/internal/cpu"
 	"agilepaging/internal/experiments"
@@ -39,7 +38,7 @@ func main() {
 		analyze   = flag.String("analyze", "", "summarize a saved TLB-miss log")
 		name      = flag.String("workload", "dedup", "workload name")
 		technique = flag.String("technique", "agile", "native | nested | shadow | agile")
-		pageSize  = flag.String("pagesize", "4K", "4K | 2M")
+		pageSize  = flag.String("pagesize", "4K", "4K | 2M | 1G")
 		accesses  = flag.Int("accesses", 120_000, "steady-phase accesses")
 		seed      = flag.Int64("seed", 42, "random seed")
 	)
@@ -60,36 +59,12 @@ func main() {
 	}
 }
 
-func parseMode(s string) (walker.Mode, error) {
-	switch strings.ToLower(s) {
-	case "native":
-		return walker.ModeNative, nil
-	case "nested":
-		return walker.ModeNested, nil
-	case "shadow":
-		return walker.ModeShadow, nil
-	case "agile":
-		return walker.ModeAgile, nil
-	}
-	return 0, fmt.Errorf("unknown technique %q", s)
-}
-
-func parseSize(s string) (pagetable.Size, error) {
-	switch strings.ToUpper(s) {
-	case "4K":
-		return pagetable.Size4K, nil
-	case "2M":
-		return pagetable.Size2M, nil
-	}
-	return 0, fmt.Errorf("unknown page size %q", s)
-}
-
 func doRecord(path, name, ps string, accesses int, seed int64) error {
 	prof, ok := workload.ProfileByName(name)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", name)
 	}
-	size, err := parseSize(ps)
+	size, err := pagetable.ParseSize(ps)
 	if err != nil {
 		return err
 	}
@@ -116,11 +91,11 @@ func doReplay(path, technique, ps string) error {
 	if err != nil {
 		return err
 	}
-	mode, err := parseMode(technique)
+	mode, err := walker.ParseMode(technique)
 	if err != nil {
 		return err
 	}
-	size, err := parseSize(ps)
+	size, err := pagetable.ParseSize(ps)
 	if err != nil {
 		return err
 	}
@@ -137,11 +112,11 @@ func doReplay(path, technique, ps string) error {
 }
 
 func doMissLog(path, name, technique, ps string, accesses int, seed int64) error {
-	mode, err := parseMode(technique)
+	mode, err := walker.ParseMode(technique)
 	if err != nil {
 		return err
 	}
-	size, err := parseSize(ps)
+	size, err := pagetable.ParseSize(ps)
 	if err != nil {
 		return err
 	}

@@ -6,22 +6,26 @@ import (
 	"testing"
 )
 
+// TestParseHelpers pins that every -technique and -pagesize value the
+// other tools accept reaches the record, replay and miss-log paths.
 func TestParseHelpers(t *testing.T) {
-	for _, s := range []string{"native", "nested", "shadow", "agile"} {
-		if _, err := parseMode(s); err != nil {
-			t.Errorf("parseMode(%q): %v", s, err)
+	dir := t.TempDir()
+	for _, ps := range []string{"4K", "2M", "1G"} {
+		ops := filepath.Join(dir, ps+".trace")
+		if err := doRecord(ops, "astar", ps, 200, 1); err != nil {
+			t.Errorf("record -pagesize %s: %v", ps, err)
 		}
 	}
-	if _, err := parseMode("x"); err == nil {
-		t.Error("bad mode accepted")
-	}
-	for _, s := range []string{"4K", "2M"} {
-		if _, err := parseSize(s); err != nil {
-			t.Errorf("parseSize(%q): %v", s, err)
+	for _, tech := range []string{"native", "nested", "shadow", "agile", "A", "B"} {
+		if err := doReplay(filepath.Join(dir, "4K.trace"), tech, "4K"); err != nil {
+			t.Errorf("replay -technique %s: %v", tech, err)
 		}
 	}
-	if _, err := parseSize("3M"); err == nil {
-		t.Error("bad size accepted")
+	if err := doMissLog(filepath.Join(dir, "miss.trace"), "astar", "x", "4K", 200, 1); err == nil {
+		t.Error("bad technique accepted")
+	}
+	if err := doRecord(filepath.Join(dir, "bad.trace"), "astar", "3M", 200, 1); err == nil {
+		t.Error("bad page size accepted")
 	}
 }
 

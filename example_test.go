@@ -1,6 +1,7 @@
 package agilepaging_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,8 @@ func ExampleRun() {
 // ExampleCompare reproduces the paper's headline on its worst shadow-paging
 // case: agile paging beats both constituent techniques.
 func ExampleCompare() {
-	results, err := agilepaging.Compare("dedup", agilepaging.Page4K, 60_000, 42)
+	results, _, err := agilepaging.Compare(context.Background(), agilepaging.RunAllOptions{},
+		agilepaging.Config{Workload: "dedup", PageSize: agilepaging.Page4K, Accesses: 60_000, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

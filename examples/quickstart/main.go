@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,8 @@ func main() {
 	fmt.Printf("Simulating %q (%d available workloads: %v)\n\n",
 		workload, len(agilepaging.Workloads()), agilepaging.Workloads())
 
-	results, err := agilepaging.Compare(workload, agilepaging.Page4K, 120_000, 42)
+	results, _, err := agilepaging.Compare(context.Background(), agilepaging.RunAllOptions{},
+		agilepaging.Config{Workload: workload, PageSize: agilepaging.Page4K, Accesses: 120_000, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,18 +40,14 @@ type ablationSpec struct {
 	notes string
 }
 
-// Ablations quantifies the paper's individual design choices:
+// AblationsSweep quantifies the paper's individual design choices:
 //
 //   - the §IV hardware A/D optimization (trap-free dirty tracking)
 //   - the §IV context-switch pointer cache
 //   - the two nested⇒shadow revert policies of §III-C against no revert
 //   - the MMU caches (PWC + nested TLB) the walk costs assume
-func Ablations(accesses int, seed int64) ([]AblationRow, error) {
-	return AblationsSweep(context.Background(), sweep.Config{}, accesses, seed)
-}
-
-// AblationsSweep is Ablations on an explicit sweep configuration. Rows come
-// back in declaration order regardless of worker count.
+//
+// Rows come back in declaration order regardless of worker count.
 func AblationsSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64) ([]AblationRow, error) {
 	var jobs []sweep.Job[ablationSpec]
 	add := func(name, wl string, kind ablationKind, o Options, notes string) {

@@ -50,17 +50,10 @@ func (f *Figure5Result) Get(w string, ps pagetable.Size, tech walker.Mode) (Figu
 	return Figure5Row{}, false
 }
 
-// Figure5 runs the full evaluation sweep of paper Figure 5: every workload
-// of Table V under the eight configurations {4K,2M} × {base native, nested,
-// shadow, agile}. workloads == nil runs all eight. The sweep runs on the
-// default worker pool; use Figure5Sweep for cancellation, a worker bound,
-// or progress reporting.
-func Figure5(workloads []string, accesses int, seed int64) (*Figure5Result, error) {
-	return Figure5Sweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
-}
-
-// Figure5Sweep is Figure5 on an explicit sweep configuration. Results are
-// in declaration order (workload-major, then page size, then technique),
+// Figure5Sweep runs the full evaluation sweep of paper Figure 5: every
+// workload of Table V under the eight configurations {4K,2M} × {base
+// native, nested, shadow, agile}. workloads == nil runs all eight. Results
+// are in declaration order (workload-major, then page size, then technique),
 // identical to a serial run for any worker count. On error the result is
 // still non-nil and carries whatever cells completed (plus their failure
 // attributions) — under cfg.ErrorPolicy == sweep.CollectAll that is every
@@ -193,21 +186,15 @@ type ModelValidation struct {
 	ProjectedVMMOv  float64
 }
 
-// ValidateModel runs the paper's methodology end to end for one workload at
-// 4K: measure native/nested/shadow, classify the agile run's TLB misses and
-// count the shadow and agile runs' VM exits by cause (the BadgerTrap and
-// trace-cmd analogs), project agile performance with the Table IV model,
-// and report it against direct simulation. The four constituent
-// measurements are independent and run as one sweep.
-func ValidateModel(name string, accesses int, seed int64) (ModelValidation, error) {
-	return ValidateModelSweep(context.Background(), sweep.Config{}, name, accesses, seed)
-}
-
-// ValidateModelSweep is ValidateModel on an explicit sweep configuration.
-// Its four arms are plain cells, the same ones Figure 5 measures for the
-// workload at 4K: the miss classes come from the agile report's walker
-// counters and the trap counts from the shadow and agile reports, so every
-// arm is memoized and deduplicated.
+// ValidateModelSweep runs the paper's methodology end to end for one
+// workload at 4K: measure native/nested/shadow, classify the agile run's
+// TLB misses and count the shadow and agile runs' VM exits by cause (the
+// BadgerTrap and trace-cmd analogs), project agile performance with the
+// Table IV model, and report it against direct simulation. The four
+// constituent measurements run as one sweep of plain cells, the same ones
+// Figure 5 measures for the workload at 4K: the miss classes come from the
+// agile report's walker counters and the trap counts from the shadow and
+// agile reports, so every arm is memoized and deduplicated.
 func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, accesses int, seed int64) (ModelValidation, error) {
 	techs := Techniques()
 	jobs := make([]sweep.Job[Options], 0, len(techs))

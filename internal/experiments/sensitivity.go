@@ -26,15 +26,6 @@ type SensitivityRow struct {
 	AgileWins bool
 }
 
-// Sensitivity sweeps the two calibrated cost parameters — VM-exit cycles
-// and walk-reference cycles — across an order of magnitude and checks
-// whether the paper's conclusion (agile ≤ best of nested and shadow) is an
-// artifact of the calibration or robust to it. The probe workload is
-// dedup, where both constituents are expensive in different ways.
-func Sensitivity(accesses int, seed int64) ([]SensitivityRow, error) {
-	return SensitivitySweep(context.Background(), sweep.Config{}, accesses, seed)
-}
-
 // sensitivitySpec is one (cost scaling, technique) point of the sweep. The
 // perturbed machine configuration is built at declaration time so the job
 // can carry its canonical cell key (DedupKey) and the run executes exactly
@@ -48,9 +39,13 @@ type sensitivitySpec struct {
 // sensitivityTechs are the techniques each calibration cell measures.
 var sensitivityTechs = [...]walker.Mode{walker.ModeNested, walker.ModeShadow, walker.ModeAgile}
 
-// SensitivitySweep is Sensitivity on an explicit sweep configuration. All
-// 27 (trap scale × ref scale × technique) simulations run as one sweep and
-// are folded back into the 9 calibration rows in declaration order.
+// SensitivitySweep sweeps the two calibrated cost parameters — VM-exit
+// cycles and walk-reference cycles — across an order of magnitude and
+// checks whether the paper's conclusion (agile ≤ best of nested and shadow)
+// is an artifact of the calibration or robust to it. The probe workload is
+// dedup, where both constituents are expensive in different ways. All 27
+// (trap scale × ref scale × technique) simulations run as one sweep and are
+// folded back into the 9 calibration rows in declaration order.
 func SensitivitySweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64) ([]SensitivityRow, error) {
 	prof, _ := workload.ProfileByName("dedup")
 	var jobs []sweep.Job[sensitivitySpec]

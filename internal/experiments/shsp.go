@@ -49,16 +49,11 @@ var shspConfigs = [...]shspSpec{
 	{walker.ModeAgile, false},
 }
 
-// SHSPComparison reproduces the paper's §VII.C discussion: SHSP, switching
-// an entire guest process temporally between the techniques, approaches the
-// best of the two, while agile paging — temporal *and* spatial — exceeds
-// it. Runs at 4K pages where the techniques differ most.
-func SHSPComparison(workloads []string, accesses int, seed int64) ([]SHSPRow, error) {
-	return SHSPComparisonSweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
-}
-
-// SHSPComparisonSweep is SHSPComparison on an explicit sweep configuration:
-// every (workload, configuration) cell is an independent job.
+// SHSPComparisonSweep reproduces the paper's §VII.C discussion: SHSP,
+// switching an entire guest process temporally between the techniques,
+// approaches the best of the two, while agile paging — temporal *and*
+// spatial — exceeds it. Runs at 4K pages where the techniques differ most.
+// Every (workload, configuration) cell is an independent job.
 func SHSPComparisonSweep(ctx context.Context, cfg sweep.Config, workloads []string, accesses int, seed int64) ([]SHSPRow, error) {
 	if workloads == nil {
 		workloads = workload.Names()

@@ -24,12 +24,7 @@ type TableVRow struct {
 	PTUpdateEvents uint64 // guest page-table update events (maps + unmaps)
 }
 
-// TableV measures the workload-characterization table.
-func TableV(accesses int, seed int64) ([]TableVRow, error) {
-	return TableVSweep(context.Background(), sweep.Config{}, accesses, seed)
-}
-
-// TableVSweep is TableV on an explicit sweep configuration: one
+// TableVSweep measures the workload-characterization table: one
 // base-native job per workload profile. On error the returned rows hold
 // whatever workloads completed (all healthy ones under CollectAll).
 func TableVSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64) ([]TableVRow, error) {

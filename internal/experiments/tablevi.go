@@ -21,15 +21,10 @@ type TableVIRow struct {
 	AvgRefs   float64
 }
 
-// TableVI reproduces paper Table VI by running every workload under agile
-// paging at 4K with the page walk caches and nested TLB disabled, and
-// classifying every TLB miss (the BadgerTrap step).
-func TableVI(workloads []string, accesses int, seed int64) ([]TableVIRow, error) {
-	return TableVISweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
-}
-
-// TableVISweep is TableVI on an explicit sweep configuration: one plain
-// cell per workload, whose miss classes come from the report's walker
+// TableVISweep reproduces paper Table VI by running every workload under
+// agile paging at 4K with the page walk caches and nested TLB disabled, and
+// classifying every TLB miss (the BadgerTrap step): one plain cell per
+// workload, whose miss classes come from the report's walker
 // counters (trace.SummaryOf), so the cells are memoized and deduplicated
 // like any other. On error the returned rows hold whatever workloads
 // completed.

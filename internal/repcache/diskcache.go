@@ -17,9 +17,9 @@ import (
 
 // Persistent on-disk report cache.
 //
-// Opt-in via SetDir (the CLIs' -report-cache-dir flag): reports are written
-// to <dir>/report-<key>.apr after simulation and read back on later runs,
-// so a repeated paperbench/agilesim invocation skips simulation entirely.
+// Opt-in via SetDir (paperbench's -report-cache-dir flag): reports are
+// written to <dir>/report-<key>.apr after simulation and read back on later
+// runs, so a repeated paperbench invocation skips simulation entirely.
 // The filename is the cell's content key (KeyFor), which covers every
 // simulation input, so a parameter change simply misses; nothing is ever
 // reused across keys.

@@ -27,12 +27,12 @@
 //   - an in-memory LRU (byte budget, default DefaultBudgetBytes) with
 //     per-key sync.Once singleflight, so concurrent sweeps asking for the
 //     same cell run one simulation and share the result;
-//   - an opt-in disk tier (SetDir / the CLIs' -report-cache-dir flag):
+//   - an opt-in disk tier (SetDir / paperbench's -report-cache-dir flag):
 //     content-addressed files with defensive validation, stamped with the
 //     sha256 of the executable that wrote them, so repeated runs of one
 //     binary skip simulation entirely and no other build is ever served
 //     them;
-//   - statistics (Info) the CLIs print under -progress.
+//   - statistics (Info) paperbench prints under -progress.
 //
 // Concurrency contract: all exported functions are safe for concurrent
 // use. Do never calls compute twice for one key unless the first compute
