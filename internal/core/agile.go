@@ -17,8 +17,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"agilepaging/internal/pagetable"
@@ -119,6 +120,13 @@ type Manager struct {
 
 	nested      map[uint64]bool  // guest table page (gPA) ⇒ handled nested
 	writeCounts map[writeKey]int // intercepted writes this interval
+
+	// Scratch the policy reuses across intervals: the switch points of
+	// one pass, a subtree listing, and the stack of child lists scanNode
+	// recurses over.
+	points   []switchPoint
+	subtree  []uint64
+	children []uint64
 
 	intervalStart uint64
 	started       bool // short-lived policy: agile state enabled
@@ -234,7 +242,8 @@ func (m *Manager) switchToNested(gptPage uint64) {
 	if m.nested[gptPage] {
 		return
 	}
-	for _, p := range m.ctx.SubtreePages(gptPage) {
+	m.subtree = m.ctx.AppendSubtreePages(m.subtree[:0], gptPage)
+	for _, p := range m.subtree {
 		if !m.nested[p] {
 			m.nested[p] = true
 			m.stats.SwitchesToNested++
@@ -264,7 +273,7 @@ func (m *Manager) Tick(now uint64, missOverhead float64) {
 		return
 	}
 	m.intervalStart = now
-	m.writeCounts = make(map[writeKey]int)
+	clear(m.writeCounts)
 	switch m.cfg.Revert {
 	case RevertReset:
 		m.revertAll()
@@ -283,10 +292,10 @@ func (m *Manager) Started() bool { return m.started }
 func (m *Manager) revertAll() {
 	m.stats.IntervalResets++
 	for _, sp := range m.switchPoints() {
-		_ = m.ctx.ClearSwitch(sp)
+		_ = m.ctx.ClearSwitch(sp.page)
 	}
 	m.stats.SwitchesToShadow += uint64(len(m.nested))
-	m.nested = make(map[uint64]bool)
+	clear(m.nested)
 }
 
 // dirtyScan implements the dirty-bit policy: guest page-table pages whose
@@ -297,7 +306,7 @@ func (m *Manager) dirtyScan() {
 	m.stats.DirtyScans++
 	hpt := m.ctx.VM().HPT()
 	for _, sp := range m.switchPoints() {
-		m.scanNode(hpt, sp, true)
+		m.scanNode(hpt, sp.page, true)
 	}
 }
 
@@ -324,22 +333,30 @@ func (m *Manager) scanNode(hpt *pagetable.Table, node uint64, isSwitchPoint bool
 	} else {
 		m.ctx.Protect(node)
 	}
-	for _, child := range m.childTablePages(node) {
-		if m.nested[child] {
+	// The children go on a stack the recursion shares: each call pushes
+	// its list above its caller's and pops it before returning, so the
+	// caller's list stays in place even when a push reallocates.
+	start := len(m.children)
+	m.children = m.appendChildTablePages(m.children, node)
+	for i := start; i < len(m.children); i++ {
+		if child := m.children[i]; m.nested[child] {
 			m.scanNode(hpt, child, false)
 		}
 	}
+	m.children = m.children[:start]
+}
+
+// switchPoint is a nested node whose parent is shadow-handled.
+type switchPoint struct {
+	level int
+	page  uint64
 }
 
 // switchPoints returns the topmost nested nodes (nested nodes whose parent
 // is shadow-handled), parents before children, which are exactly the nodes
-// carrying switching-bit entries.
-func (m *Manager) switchPoints() []uint64 {
-	type nodeInfo struct {
-		page  uint64
-		level int
-	}
-	var sps []nodeInfo
+// carrying switching-bit entries. The slice is valid until the next call.
+func (m *Manager) switchPoints() []switchPoint {
+	m.points = m.points[:0]
 	for page := range m.nested {
 		info, ok := m.ctx.GPT().Info(page)
 		if !ok {
@@ -348,20 +365,16 @@ func (m *Manager) switchPoints() []uint64 {
 		}
 		parent, hasParent := m.parentPage(info)
 		if !hasParent || !m.nested[parent] {
-			sps = append(sps, nodeInfo{page, info.Level})
+			m.points = append(m.points, switchPoint{info.Level, page})
 		}
 	}
-	sort.Slice(sps, func(i, j int) bool {
-		if sps[i].level != sps[j].level {
-			return sps[i].level < sps[j].level
+	slices.SortFunc(m.points, func(a, b switchPoint) int {
+		if c := cmp.Compare(a.level, b.level); c != 0 {
+			return c
 		}
-		return sps[i].page < sps[j].page
+		return cmp.Compare(a.page, b.page)
 	})
-	out := make([]uint64, len(sps))
-	for i, sp := range sps {
-		out[i] = sp.page
-	}
-	return out
+	return m.points
 }
 
 // parentPage returns the guest-physical address of the table page holding
@@ -380,10 +393,11 @@ func (m *Manager) parentPage(info pagetable.PageInfo) (uint64, bool) {
 	return e.Addr(), true
 }
 
-// childTablePages lists the table pages directly below node.
-func (m *Manager) childTablePages(node uint64) []uint64 {
-	var out []uint64
-	for _, p := range m.ctx.SubtreePages(node) {
+// appendChildTablePages appends the table pages directly below node to
+// dst and returns the extended slice.
+func (m *Manager) appendChildTablePages(dst []uint64, node uint64) []uint64 {
+	m.subtree = m.ctx.AppendSubtreePages(m.subtree[:0], node)
+	for _, p := range m.subtree {
 		if p == node {
 			continue
 		}
@@ -393,8 +407,8 @@ func (m *Manager) childTablePages(node uint64) []uint64 {
 		}
 		nodeInfo, _ := m.ctx.GPT().Info(node)
 		if info.Level == nodeInfo.Level+1 {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }

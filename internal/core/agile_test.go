@@ -165,7 +165,7 @@ func TestInteriorEntryChurnSwitchesChildSubtree(t *testing.T) {
 	if r.Refs != 4 || r.NestedLevels != 0 {
 		t.Errorf("sibling refs=%d nested=%d, want 4/0", r.Refs, r.NestedLevels)
 	}
-	for _, p := range f.ctx.SubtreePages(leaf.Addr()) {
+	for _, p := range f.ctx.AppendSubtreePages(nil, leaf.Addr()) {
 		if f.ctx.IsProtected(p) {
 			t.Errorf("nested subtree page %#x still protected", p)
 		}

@@ -123,3 +123,61 @@ func TestPooledReacquireAllocFree(t *testing.T) {
 		t.Errorf("pool stats after steady-state loop: hits=%d misses=%d, want 1 miss and ≥11 hits", hits, misses)
 	}
 }
+
+// replayAllocs replays ops as one pooled cell (acquire, run, report,
+// release) and returns the objects and bytes the cell allocated.
+func replayAllocs(t *testing.T, cfg Config, ops []workload.Op) (objects, bytes uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := AcquireMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunOps(ops, 0); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Report("replay")
+	ReleaseMachine(m)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPooledReplayAllocFree pins that a pooled cell's allocation does not
+// grow with its length: once a machine's buffers have grown to a script's
+// high-water mark, replaying twice as many accesses allocates no more than
+// the shorter replay. Shadow fills, reclaim scans and policy intervals all
+// recur with length, so bookkeeping that allocates per event fails here.
+func TestPooledReplayAllocFree(t *testing.T) {
+	ResetMachinePool()
+	t.Cleanup(ResetMachinePool)
+	prof := workload.Profile{
+		Name: "replay", FootprintBytes: 8 << 20, Pattern: workload.PatternZipf,
+		ZipfS: 1.1, WriteRatio: 0.3, PrePopulate: true,
+		ReclaimEvery: 500, ReclaimPages: 64,
+	}
+	const n = 20_000
+	short := workload.Collect(workload.New(prof, pagetable.Size4K, n, 42), -1)
+	long := workload.Collect(workload.New(prof, pagetable.Size4K, 2*n, 42), -1)
+	// An agile cell builds a new policy manager, whose scratch grows to
+	// the run's largest switch-point set; a few objects of slack absorb
+	// that and a map's growth landing on a different replay.
+	const slackObjects, slackBytes = 8, 1 << 10
+	for _, tech := range []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile} {
+		t.Run(tech.String(), func(t *testing.T) {
+			cfg := smallConfig(tech, pagetable.Size4K)
+			// Two warm-up replays grow the pooled machine's buffers to the
+			// longer script's high-water mark.
+			replayAllocs(t, cfg, long)
+			replayAllocs(t, cfg, long)
+			shortObjects, shortBytes := replayAllocs(t, cfg, short)
+			longObjects, longBytes := replayAllocs(t, cfg, long)
+			t.Logf("%v: %d accesses: %d objects, %d B; %d accesses: %d objects, %d B",
+				tech, n, shortObjects, shortBytes, 2*n, longObjects, longBytes)
+			if longObjects > shortObjects+slackObjects || longBytes > shortBytes+slackBytes {
+				t.Errorf("%v: replaying %d accesses allocated %d objects (%d B), %d accesses %d objects (%d B); want no growth with length",
+					tech, n, shortObjects, shortBytes, 2*n, longObjects, longBytes)
+			}
+		})
+	}
+}

@@ -172,13 +172,15 @@ func scriptedReplayOps(base, other uint64) []workload.Op {
 }
 
 // FuzzResetVsFreshEquivalence drives the Reset contract over fuzzer-chosen
-// profile knobs, seeds, and techniques.
+// profile knobs, seeds, techniques and page sizes.
 func FuzzResetVsFreshEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(800), uint8(3), uint8(30), uint8(1), uint16(0), uint16(0), uint16(0))
-	f.Add(int64(7), uint16(1200), uint8(1), uint8(60), uint8(3), uint16(50), uint16(200), uint16(0))
-	f.Add(int64(99), uint16(600), uint8(2), uint8(10), uint8(2), uint16(25), uint16(150), uint16(0))
-	f.Add(int64(13), uint16(900), uint8(3), uint8(40), uint8(2), uint16(40), uint16(0), uint16(300))
-	f.Fuzz(func(t *testing.T, seed int64, accesses uint16, techSel, writePct, procs uint8, ctxEvery, churnEvery, collapseEvery uint16) {
+	f.Add(int64(1), uint16(800), uint8(3), uint8(30), uint8(1), uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), false)
+	f.Add(int64(7), uint16(1200), uint8(1), uint8(60), uint8(3), uint16(50), uint16(200), uint16(0), uint16(0), uint16(0), false)
+	f.Add(int64(99), uint16(600), uint8(2), uint8(10), uint8(2), uint16(25), uint16(150), uint16(0), uint16(0), uint16(0), false)
+	f.Add(int64(13), uint16(900), uint8(3), uint8(40), uint8(2), uint16(40), uint16(0), uint16(300), uint16(0), uint16(0), false)
+	f.Add(int64(21), uint16(1000), uint8(2), uint8(50), uint8(2), uint16(60), uint16(0), uint16(0), uint16(120), uint16(90), false)
+	f.Add(int64(42), uint16(1100), uint8(3), uint8(40), uint8(1), uint16(0), uint16(0), uint16(0), uint16(100), uint16(80), true)
+	f.Fuzz(func(t *testing.T, seed int64, accesses uint16, techSel, writePct, procs uint8, ctxEvery, churnEvery, collapseEvery, cowEvery, reclaimEvery uint16, largePages bool) {
 		techs := []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile}
 		tech := techs[int(techSel)%len(techs)]
 		prof := workload.Profile{
@@ -191,14 +193,35 @@ func FuzzResetVsFreshEquivalence(f *testing.F) {
 			CtxSwitchEvery: int(ctxEvery % 512),
 			MmapChurnEvery: int(churnEvery % 1024),
 			CollapseEvery:  int(collapseEvery % 1024),
+			CowEvery:       int(cowEvery % 1024),
+			ReclaimEvery:   int(reclaimEvery % 1024),
 		}
 		if prof.MmapChurnEvery > 0 {
 			prof.ChurnRegionBytes, prof.ChurnRegions = 32<<10, 2
 		}
+		if prof.CowEvery > 0 {
+			prof.CowRegionBytes = 32 << 10
+		}
+		if prof.ReclaimEvery > 0 {
+			prof.ReclaimPages = 16
+		}
 		if prof.Processes > 1 && prof.CtxSwitchEvery == 0 {
 			prof.CtxSwitchEvery = 64
 		}
-		cfg := smallConfig(tech, pagetable.Size4K)
+		ps := pagetable.Size4K
+		if largePages {
+			ps = pagetable.Size2M
+			// The VM recycles only 4K guest pages, so every 2M page a COW
+			// break, a reclaim eviction or an unmap gives up stays
+			// allocated; at most one such event per 64 accesses keeps the
+			// run inside the 128 MiB guest.
+			for _, every := range []*int{&prof.CowEvery, &prof.ReclaimEvery, &prof.MmapChurnEvery} {
+				if *every > 0 {
+					*every = max(*every, 64)
+				}
+			}
+		}
+		cfg := smallConfig(tech, ps)
 		cfg.PolicyTickOps = 400
 		n := 200 + int(accesses%1200)
 		ops := workload.Collect(workload.New(prof, cfg.PageSize, n, seed), -1)

@@ -129,13 +129,15 @@ func TestDiffEquivalenceGenerated(t *testing.T) {
 	}
 }
 
-// FuzzDiffEquivalence lets the fuzzer pick the structural-edit mix. Every
-// generated stream includes collapses unless the fuzzer disables them.
+// FuzzDiffEquivalence lets the fuzzer pick the structural-edit mix and the
+// page size. Every 4K stream includes collapses unless the fuzzer disables
+// them; 2M streams have none.
 func FuzzDiffEquivalence(f *testing.F) {
-	f.Add(int64(3), uint16(900), uint8(35), uint8(1), uint16(250), uint16(400), uint16(0), uint16(0))
-	f.Add(int64(11), uint16(1200), uint8(50), uint8(2), uint16(350), uint16(500), uint16(600), uint16(0))
-	f.Add(int64(29), uint16(700), uint8(20), uint8(2), uint16(200), uint16(0), uint16(450), uint16(300))
-	f.Fuzz(func(t *testing.T, seed int64, accesses uint16, writePct, procs uint8, collapseEvery, cowEvery, reclaimEvery, churnEvery uint16) {
+	f.Add(int64(3), uint16(900), uint8(35), uint8(1), uint16(250), uint16(400), uint16(0), uint16(0), false)
+	f.Add(int64(11), uint16(1200), uint8(50), uint8(2), uint16(350), uint16(500), uint16(600), uint16(0), false)
+	f.Add(int64(29), uint16(700), uint8(20), uint8(2), uint16(200), uint16(0), uint16(450), uint16(300), false)
+	f.Add(int64(5), uint16(1100), uint8(40), uint8(2), uint16(0), uint16(150), uint16(200), uint16(250), true)
+	f.Fuzz(func(t *testing.T, seed int64, accesses uint16, writePct, procs uint8, collapseEvery, cowEvery, reclaimEvery, churnEvery uint16, largePages bool) {
 		prof := workload.Profile{
 			Name:           "diff-fuzz",
 			FootprintBytes: 4 << 20,
@@ -160,8 +162,21 @@ func FuzzDiffEquivalence(f *testing.F) {
 		if prof.ReclaimEvery > 0 {
 			prof.ReclaimPages = 16
 		}
-		ops := workload.Collect(workload.New(prof, pagetable.Size4K, 300+int(accesses%1500), seed), -1)
-		if err := Equivalent(ops, Options{PolicyTickOps: 300}); err != nil {
+		ps := pagetable.Size4K
+		if largePages {
+			ps = pagetable.Size2M
+			// The VM recycles only 4K guest pages, so every 2M page a COW
+			// break, a reclaim eviction or an unmap gives up stays
+			// allocated; at most one such event per 64 accesses keeps the
+			// run inside the harness's 128 MiB guest.
+			for _, every := range []*int{&prof.CowEvery, &prof.ReclaimEvery, &prof.MmapChurnEvery} {
+				if *every > 0 {
+					*every = max(*every, 64)
+				}
+			}
+		}
+		ops := workload.Collect(workload.New(prof, ps, 300+int(accesses%1500), seed), -1)
+		if err := Equivalent(ops, Options{PageSize: ps, PolicyTickOps: 300}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -110,6 +110,10 @@ type OS struct {
 	procs   map[int]*Process
 	current *Process
 	stats   Stats
+
+	// leaves is ReclaimScan's snapshot of the scanned process's leaves,
+	// kept across scans and across Reset.
+	leaves []pagetable.Leaf
 }
 
 // New creates an OS on the given platform.
@@ -455,11 +459,12 @@ func (o *OS) ReclaimScan(pid int, n int) (evicted int, err error) {
 	if perr != nil {
 		return 0, perr
 	}
-	var leaves []pagetable.Leaf
+	o.leaves = o.leaves[:0]
 	p.PT.VisitLeaves(func(l pagetable.Leaf) bool {
-		leaves = append(leaves, l)
+		o.leaves = append(o.leaves, l)
 		return true
 	})
+	leaves := o.leaves
 	if len(leaves) == 0 {
 		return 0, nil
 	}

@@ -303,8 +303,14 @@ func (t *Table) leafSlot(va uint64, size Size) (pageAddr uint64, idx, level int,
 		pageAddr = e.Addr()
 	}
 	idx = IndexAt(va, leaf)
-	if !t.readEntry(pageAddr, idx).Present() {
+	e := t.readEntry(pageAddr, idx)
+	if !e.Present() {
 		return 0, 0, 0, fmt.Errorf("%w: va=%#x", ErrNotMapped, va)
+	}
+	if size != Size4K && !e.Huge() {
+		// A level-2 or level-1 entry without the huge bit points at a
+		// lower table: va is mapped, but by smaller pages.
+		return 0, 0, 0, fmt.Errorf("%w: va=%#x not mapped at %s (level-%d entry points to a table)", ErrNotMapped, va, size, leaf)
 	}
 	return pageAddr, idx, leaf, nil
 }

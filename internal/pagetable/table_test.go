@@ -150,6 +150,30 @@ func TestRemap(t *testing.T) {
 	}
 }
 
+// TestUnmapRemapWrongSizeKeepsSmallerMappings pins that Unmap and Remap
+// at a size larger than the mapping fail instead of clearing or
+// overwriting the pointer to the lower table, which would drop every
+// mapping beneath it.
+func TestUnmapRemapWrongSizeKeepsSmallerMappings(t *testing.T) {
+	tbl, _ := newHostTable(t)
+	const va, pa = uint64(0xc0003_0000), uint64(0x5000)
+	if err := tbl.Map(va, pa, Size4K, FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []Size{Size2M, Size1G} {
+		base := va &^ size.Mask()
+		if err := tbl.Unmap(base, size); !errors.Is(err, ErrNotMapped) {
+			t.Errorf("Unmap(%#x, %s) over a 4K mapping: err = %v, want ErrNotMapped", base, size, err)
+		}
+		if err := tbl.Remap(base, 0, size, FlagWrite); !errors.Is(err, ErrNotMapped) {
+			t.Errorf("Remap(%#x, %s) over a 4K mapping: err = %v, want ErrNotMapped", base, size, err)
+		}
+		if r, err := tbl.Lookup(va); err != nil || r.PA != pa || r.Size != Size4K {
+			t.Errorf("after %s Unmap and Remap: Lookup = %+v, %v; want the 4K mapping to %#x", size, r, err, pa)
+		}
+	}
+}
+
 func TestSetClearFlags(t *testing.T) {
 	tbl, _ := newHostTable(t)
 	if err := tbl.Map(0x1000, 0x2000, Size4K, 0); err != nil {

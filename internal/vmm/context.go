@@ -60,10 +60,6 @@ type Context struct {
 	// intercepts writes to (the shadow-covered parts, paper §III-B).
 	protected map[uint64]bool
 
-	// rmap maps a guest-physical data page to the gVAs whose shadow leaf
-	// entries translate through it, for host-side invalidations.
-	rmap map[uint64][]uint64
-
 	// suppress disables the write hook while the VMM itself updates the
 	// guest table (A/D propagation).
 	suppress bool
@@ -88,7 +84,6 @@ func (vm *VM) NewProcess(asid uint16) (*Context, error) {
 		asid:      asid,
 		gpt:       gpt,
 		protected: make(map[uint64]bool),
-		rmap:      make(map[uint64][]uint64),
 	}
 	if vm.cfg.Technique != walker.ModeNested {
 		spt, err := pagetable.New(vm.mem, pagetable.HostSpace{Mem: vm.mem})
@@ -445,8 +440,7 @@ func (ctx *Context) fillShadowLeaf(gva uint64, level int, guestSize pagetable.Si
 		return err
 	}
 	ctx.vm.stats.ShadowEntriesFilled++
-	key := effGPA &^ pagetable.Size4K.Mask()
-	ctx.rmap[key] = append(ctx.rmap[key], effVA)
+	ctx.vm.recordShadowLeaf(effGPA, effVA, ctx.asid)
 	return nil
 }
 
@@ -631,7 +625,8 @@ func (ctx *Context) PlantSwitch(gptPage uint64) error {
 	if !ok {
 		return fmt.Errorf("vmm: %#x is not a guest table page", gptPage)
 	}
-	for _, p := range ctx.SubtreePages(gptPage) {
+	ctx.vm.subtree = ctx.AppendSubtreePages(ctx.vm.subtree[:0], gptPage)
+	for _, p := range ctx.vm.subtree {
 		ctx.Unprotect(p)
 	}
 	if info.Level == 0 {
@@ -680,53 +675,34 @@ func (ctx *Context) ClearSwitch(gptPage uint64) error {
 	return nil
 }
 
-// SubtreePages lists the guest-physical addresses of the guest table page
-// at gptPage and every table page below it.
-func (ctx *Context) SubtreePages(gptPage uint64) []uint64 {
+// AppendSubtreePages appends the guest-physical addresses of the guest
+// table page at gptPage and every table page below it, in depth-first
+// order, to dst and returns the extended slice. dst is returned unchanged
+// if gptPage is not a guest table page.
+func (ctx *Context) AppendSubtreePages(dst []uint64, gptPage uint64) []uint64 {
 	info, ok := ctx.gpt.Info(gptPage)
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []uint64
-	var visit func(page uint64, level int)
-	visit = func(page uint64, level int) {
-		out = append(out, page)
-		if level >= pagetable.NumLevels-1 {
-			return
-		}
-		f, ok := ctx.gpt.Space().FrameFor(page)
-		if !ok {
-			return
-		}
-		for idx := 0; idx < 512; idx++ {
-			e := pagetable.Entry(ctx.vm.mem.ReadEntry(f, idx))
-			if e.Present() && !e.Huge() {
-				if _, isTable := ctx.gpt.Info(e.Addr()); isTable {
-					visit(e.Addr(), level+1)
-				}
-			}
-		}
-	}
-	visit(gptPage, info.Level)
-	return out
+	return ctx.appendSubtree(dst, gptPage, info.Level)
 }
 
-// hostPageChanged zaps shadow leaves translating through the guest-physical
-// page gpa after the VMM changed its host mapping.
-func (ctx *Context) hostPageChanged(gpa uint64) {
-	key := gpa &^ pagetable.Size4K.Mask()
-	gvas := ctx.rmap[key]
-	if len(gvas) == 0 {
-		return
+func (ctx *Context) appendSubtree(dst []uint64, page uint64, level int) []uint64 {
+	dst = append(dst, page)
+	if level >= pagetable.NumLevels-1 {
+		return dst
 	}
-	delete(ctx.rmap, key)
-	for _, gva := range gvas {
-		if ctx.spt != nil {
-			if r, ok := ctx.spt.TryLookup(gva); ok {
-				_ = ctx.spt.SetEntryAt(gva, r.Level, 0)
-				ctx.vm.stats.ShadowEntriesZapped++
+	f, ok := ctx.gpt.Space().FrameFor(page)
+	if !ok {
+		return dst
+	}
+	for idx := 0; idx < 512; idx++ {
+		e := pagetable.Entry(ctx.vm.mem.ReadEntry(f, idx))
+		if e.Present() && !e.Huge() {
+			if _, isTable := ctx.gpt.Info(e.Addr()); isTable {
+				dst = ctx.appendSubtree(dst, e.Addr(), level+1)
 			}
 		}
-		ctx.invalidateGVA(gva)
 	}
+	return dst
 }

@@ -98,6 +98,22 @@ type VM struct {
 	// bytes per guest page up to the highest backed one.
 	frames []uint32
 
+	// rmapHeads and rmapNodes are the reverse map from a guest page to the
+	// shadow leaves filled through it, which hostPageChanged zaps when the
+	// VMM changes the page's host mapping. rmapHeads is indexed by guest
+	// frame number and, like frames, covers guest RAM only (the guest OS
+	// maps no page outside it), growing by doubling: 4 bytes per guest
+	// page up to the highest one filled through. An entry is one plus the
+	// index of the page's most recent node in rmapNodes, 0 for none.
+	// fillShadowLeaf adds a node per fill: a refill of one gVA adds a
+	// duplicate, and a leaf zapped and refilled through another page
+	// leaves its node behind. Reset empties both and keeps their capacity.
+	rmapHeads []uint32
+	rmapNodes []rmapNode
+
+	// subtree is PlantSwitch's scratch list of guest table pages.
+	subtree []uint64
+
 	ctxs    map[uint16]*Context // by ASID
 	current *Context
 
@@ -108,6 +124,15 @@ type VM struct {
 	observer func(TrapKind)
 
 	stats Stats
+}
+
+// rmapNode records one shadow leaf fill: the gVA in address space asid,
+// and next, the rmapHeads encoding of the previous node of the same guest
+// page.
+type rmapNode struct {
+	gva  uint64
+	next uint32
+	asid uint16
 }
 
 // ErrGuestOOM is returned when the guest-physical address space is full.
@@ -159,6 +184,9 @@ func (vm *VM) Reset(cfg Config) error {
 	vm.gpaFree = vm.gpaFree[:0]
 	clear(vm.frames)
 	vm.frames = vm.frames[:0]
+	clear(vm.rmapHeads)
+	vm.rmapHeads = vm.rmapHeads[:0]
+	vm.rmapNodes = vm.rmapNodes[:0]
 	clear(vm.ctxs)
 	vm.current = nil
 	vm.ctxCache = vm.ctxCache[:0]
@@ -264,18 +292,62 @@ func (vm *VM) setFrames(gpa uint64, f memsim.Frame, n uint64) {
 	if last := uint64(f) + (end - g) - 1; last > math.MaxUint32 {
 		panic(fmt.Sprintf("vmm: host frame %#x does not fit the frame table", last))
 	}
-	if end > uint64(len(vm.frames)) {
-		if end > uint64(cap(vm.frames)) {
-			grown := make([]uint32, end, min(max(end, 2*uint64(cap(vm.frames))), limit))
-			copy(grown, vm.frames)
-			vm.frames = grown
-		}
-		// Slots past the length are zero: Reset clears before truncating.
-		vm.frames = vm.frames[:end]
-	}
+	vm.frames = growGFNTable(vm.frames, end, limit)
 	for i := g; i < end; i++ {
 		vm.frames[i] = uint32(uint64(f) + (i - g))
 	}
+}
+
+// growGFNTable extends a table indexed by guest frame number to at least n
+// entries, doubling its capacity up to limit entries. The new entries are
+// zero: Reset clears a table before truncating it.
+func growGFNTable(t []uint32, n, limit uint64) []uint32 {
+	if n <= uint64(len(t)) {
+		return t
+	}
+	if n > uint64(cap(t)) {
+		grown := make([]uint32, n, min(max(n, 2*uint64(cap(t))), limit))
+		copy(grown, t)
+		return grown
+	}
+	return t[:n]
+}
+
+// recordShadowLeaf adds to the reverse map that the shadow leaf for gva in
+// address space asid was filled through the guest page at gpa.
+func (vm *VM) recordShadowLeaf(gpa, gva uint64, asid uint16) {
+	g, limit := gpa>>memsim.FrameShift, vm.gpaLimit>>memsim.FrameShift
+	if g >= limit {
+		return
+	}
+	vm.rmapHeads = growGFNTable(vm.rmapHeads, g+1, limit)
+	vm.rmapNodes = append(vm.rmapNodes, rmapNode{gva: gva, next: vm.rmapHeads[g], asid: asid})
+	vm.rmapHeads[g] = uint32(len(vm.rmapNodes))
+}
+
+// hostPageChanged zaps the shadow leaves the reverse map records for the
+// guest page at gpa, in every context, after the VMM changed the page's
+// host mapping, and empties the page's record. Each node clears at most
+// one leaf and invalidates its gVA, so the order nodes are visited in
+// changes no result.
+func (vm *VM) hostPageChanged(gpa uint64) {
+	g := gpa >> memsim.FrameShift
+	if g >= uint64(len(vm.rmapHeads)) {
+		return
+	}
+	for i := vm.rmapHeads[g]; i != 0; {
+		n := vm.rmapNodes[i-1]
+		i = n.next
+		// Only a shadow fill records a node, and only Reset drops a
+		// context, so the node's context exists and has a shadow table.
+		ctx := vm.ctxs[n.asid]
+		if r, ok := ctx.spt.TryLookup(n.gva); ok {
+			_ = ctx.spt.SetEntryAt(n.gva, r.Level, 0)
+			vm.stats.ShadowEntriesZapped++
+		}
+		ctx.invalidateGVA(n.gva)
+	}
+	vm.rmapHeads[g] = 0
 }
 
 // frameOf returns the host frame backing the guest page at gpa, or false
@@ -330,9 +402,7 @@ func (vm *VM) WriteProtectHostPage(gpa uint64) error {
 		return err
 	}
 	vm.mmu.NTLBInvalidateGPA(vm.id, gpa)
-	for _, ctx := range vm.ctxs {
-		ctx.hostPageChanged(gpa)
-	}
+	vm.hostPageChanged(gpa)
 	return nil
 }
 
@@ -376,9 +446,7 @@ func (vm *VM) DedupPages(gpaA, gpaB uint64) error {
 	vm.stats.PagesDeduped++
 	for _, gpa := range []uint64{baseA, baseB} {
 		vm.mmu.NTLBInvalidateGPA(vm.id, gpa)
-		for _, ctx := range vm.ctxs {
-			ctx.hostPageChanged(gpa)
-		}
+		vm.hostPageChanged(gpa)
 	}
 	return nil
 }
@@ -425,12 +493,8 @@ func DedupAcrossVMs(vmA *VM, gpaA uint64, vmB *VM, gpaB uint64) error {
 	vmB.stats.PagesDeduped++
 	vmA.mmu.NTLBInvalidateGPA(vmA.id, baseA)
 	vmB.mmu.NTLBInvalidateGPA(vmB.id, baseB)
-	for _, ctx := range vmA.ctxs {
-		ctx.hostPageChanged(baseA)
-	}
-	for _, ctx := range vmB.ctxs {
-		ctx.hostPageChanged(baseB)
-	}
+	vmA.hostPageChanged(baseA)
+	vmB.hostPageChanged(baseB)
 	return nil
 }
 
@@ -453,9 +517,7 @@ func (vm *VM) resolveHostCOW(gpa uint64) error {
 	}
 	vm.setFrames(base, f, 1)
 	vm.mmu.NTLBInvalidateGPA(vm.id, base)
-	for _, ctx := range vm.ctxs {
-		ctx.hostPageChanged(base)
-	}
+	vm.hostPageChanged(base)
 	return nil
 }
 
@@ -516,10 +578,12 @@ func (vm *VM) ctxCacheInsert(gptRoot uint64) {
 	if n <= 0 {
 		return
 	}
-	vm.ctxCache = append([]uint64{gptRoot}, vm.ctxCache...)
-	if len(vm.ctxCache) > n {
-		vm.ctxCache = vm.ctxCache[:n]
+	// Insert at the MRU position in place, dropping the LRU entry if full.
+	if len(vm.ctxCache) < n {
+		vm.ctxCache = append(vm.ctxCache, 0)
 	}
+	copy(vm.ctxCache[1:], vm.ctxCache)
+	vm.ctxCache[0] = gptRoot
 }
 
 // guestPhysSpace adapts the VM's guest-physical memory to pagetable.Space

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"slices"
 	"testing"
 
 	"agilepaging/internal/memsim"
@@ -363,6 +364,21 @@ func TestContextSwitchHardwareCache(t *testing.T) {
 	if post.CtxCacheHits-pre.CtxCacheHits != 3 {
 		t.Errorf("cache hits = %d, want 3", post.CtxCacheHits-pre.CtxCacheHits)
 	}
+	// Three more processes fill the four entries, MRU first [5 4 3 1],
+	// and evict the least recently used one, 2.
+	for asid := uint16(3); asid <= 5; asid++ {
+		vm.NewProcess(asid)
+		vm.ContextSwitch(asid)
+	}
+	pre = vm.Stats()
+	vm.ContextSwitch(1) // hit: [1 5 4 3]
+	vm.ContextSwitch(2) // miss, evicts 3: [2 1 5 4]
+	vm.ContextSwitch(4) // hit: [4 2 1 5]
+	vm.ContextSwitch(3) // miss, evicts 5: [3 4 2 1]
+	post = vm.Stats()
+	if traps, hits := post.Traps[TrapContextSwitch]-pre.Traps[TrapContextSwitch], post.CtxCacheHits-pre.CtxCacheHits; traps != 2 || hits != 2 {
+		t.Errorf("after eviction: %d traps and %d cache hits, want 2 and 2", traps, hits)
+	}
 }
 
 func TestNestedContextSwitchNoTrap(t *testing.T) {
@@ -536,7 +552,7 @@ func TestSubtreePages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pages := ctx.SubtreePages(ctx.GPT().Root())
+	pages := ctx.AppendSubtreePages(nil, ctx.GPT().Root())
 	// root + L2 + L3 + two leaf tables = 5.
 	if len(pages) != 5 {
 		t.Errorf("subtree pages = %d, want 5", len(pages))
@@ -546,12 +562,18 @@ func TestSubtreePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages = ctx.SubtreePages(l2.Addr())
+	all := pages
+	pages = ctx.AppendSubtreePages(nil, l2.Addr())
 	if len(pages) != 3 {
 		t.Errorf("L2 subtree pages = %d, want 3", len(pages))
 	}
-	if got := ctx.SubtreePages(0xdeadbeef000); got != nil {
+	if got := ctx.AppendSubtreePages(nil, 0xdeadbeef000); got != nil {
 		t.Error("unknown page should yield nil")
+	}
+	// Appending keeps dst's contents: the L2 subtree lands after them.
+	got := ctx.AppendSubtreePages(all[:1], l2.Addr())
+	if want := append([]uint64{ctx.GPT().Root()}, pages...); !slices.Equal(got, want) {
+		t.Errorf("appended subtree pages = %#x, want %#x", got, want)
 	}
 }
 
